@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .consistency import SweepBounds, run_verification
 from .errors import ConfigError, HilbertHodgeError
+from .higgs import default_oracle_cap
 from .kunneth import cohomology_sheaf_closed_form
 from .model import (
     LocalSystemSpec,
@@ -29,6 +30,8 @@ from .model import (
     validate_spec,
 )
 from .serialize import (
+    _label_from,
+    _monomial_from,
     dump_json,
     eisenstein_document,
     sheaf_matrix_document,
@@ -157,30 +160,6 @@ def _emit(doc: dict, fmt: str, text_renderer, latex_renderer) -> None:
 # ---------------------------------------------------------------- rendering
 
 
-def _mono_text(obj: dict) -> str:
-    parts = [
-        f"L{i + 1}^{s}" for i, s in enumerate(obj["exponents"]) if s != 0
-    ]
-    body = " ".join(parts) if parts else "1"
-    return f"O(-S) {body}" if obj["minus_s"] else body
-
-
-def _mono_latex(obj: dict) -> str:
-    parts = [
-        f"\\mathcal{{L}}_{{{i + 1}}}^{{{s}}}"
-        for i, s in enumerate(obj["exponents"])
-        if s != 0
-    ]
-    body = "".join(parts) if parts else "\\mathcal{O}"
-    return f"\\mathcal{{O}}(-S)\\otimes {body}" if obj["minus_s"] else body
-
-
-def _label_text(obj: dict) -> str:
-    space = "S" if obj["restricted_to_s"] else "Xbar"
-    tail = "|_S" if obj["restricted_to_s"] else ""
-    return f"H^{obj['degree']}({space}, {_mono_text(obj)}{tail})"
-
-
 def _header_text(doc: dict) -> list[str]:
     lines = []
     if "spec" in doc:
@@ -189,6 +168,18 @@ def _header_text(doc: dict) -> list[str]:
     if "invariants" in doc:
         i = doc["invariants"]
         lines.append(f"variety: cusps={i['cusps']} genus={i['genus']}")
+    return lines
+
+
+def _eis_text(rows: list[dict]) -> list[str]:
+    lines = []
+    for row in rows:
+        lines.append(f"eisenstein k={row['k']}: dim {row['dim']}")
+        for b in row["basis"]:
+            lines.append(
+                f"  a={set(b['a']) or '{}'} alpha={tuple(b['alpha'])} "
+                f"beta={tuple(b['beta'])}"
+            )
     return lines
 
 
@@ -214,13 +205,7 @@ def render_table_text(doc: dict) -> str:
     if hodge:
         lines.append(f"  middle hodge numbers: {hodge}")
     lines.append("")
-    for row in tables["Eis"]:
-        lines.append(f"eisenstein k={row['k']}: dim {row['dim']}")
-        for b in row["basis"]:
-            lines.append(
-                f"  a={set(b['a']) or '{}'} alpha={tuple(b['alpha'])} "
-                f"beta={tuple(b['beta'])}"
-            )
+    lines.extend(_eis_text(tables["Eis"]))
     lines.append("")
     lines.append("graded pieces of the Hodge filtration (middle and boundary):")
     n = doc["spec"]["n"]
@@ -228,7 +213,7 @@ def render_table_text(doc: dict) -> str:
         if not n <= row["k"] <= 2 * n - 1:
             continue
         for g in row["grF"]:
-            labels = ", ".join(_label_text(lb) for lb in g["labels"])
+            labels = ", ".join(str(_label_from(lb)) for lb in g["labels"])
             lines.append(f"  k={row['k']} Gr_F^{g['p']}: {labels}")
     return "\n".join(lines) + "\n"
 
@@ -258,7 +243,7 @@ def render_sheaf_text(doc: dict) -> str:
     lines = _header_text(doc)
     lines.append("cohomology sheaves (P, l) -> line bundles:")
     for row in doc["tables"]["C"]:
-        monos = ", ".join(_mono_text(obj) for obj in row["monomials"])
+        monos = ", ".join(str(_monomial_from(obj)) for obj in row["monomials"])
         lines.append(f"  (P={row['p']}, l={row['l']}): {monos}")
     return "\n".join(lines) + "\n"
 
@@ -267,21 +252,16 @@ def render_sheaf_latex(doc: dict) -> str:
     out = ["\\begin{tabular}{rrl}"]
     out.append("$P$ & $l$ & $\\mathcal{C}^{P,l}$ \\\\")
     for row in doc["tables"]["C"]:
-        monos = " \\oplus ".join("$" + _mono_latex(o) + "$" for o in row["monomials"])
+        monos = " \\oplus ".join(
+            f"${_monomial_from(obj).latex()}$" for obj in row["monomials"]
+        )
         out.append(f"${row['p']}$ & ${row['l']}$ & {monos} \\\\")
     out.append("\\end{tabular}")
     return "\n".join(out) + "\n"
 
 
 def render_eis_text(doc: dict) -> str:
-    lines = _header_text(doc)
-    for row in doc["tables"]["Eis"]:
-        lines.append(f"eisenstein k={row['k']}: dim {row['dim']}")
-        for b in row["basis"]:
-            lines.append(
-                f"  a={set(b['a']) or '{}'} alpha={tuple(b['alpha'])} "
-                f"beta={tuple(b['beta'])}"
-            )
+    lines = _header_text(doc) + _eis_text(doc["tables"]["Eis"])
     return "\n".join(lines) + "\n"
 
 
@@ -363,7 +343,7 @@ def _run_verify(config: RunConfig) -> int:
     bounds = SweepBounds(
         max_n=defaults.max_n if config.max_n is None else config.max_n,
         max_m=defaults.max_m if config.max_m is None else config.max_m,
-        oracle_cap=config.oracle_cap,
+        oracle_cap=default_oracle_cap(config.oracle_cap),
     )
     report = run_verification(bounds)
     doc = verify_document(report, {"max_n": bounds.max_n, "max_m": bounds.max_m})

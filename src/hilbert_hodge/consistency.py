@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import product as iter_product
 from math import comb
 
-from .errors import InconsistentInvariants, OracleSizeExceeded
+from .errors import ConfigError, InconsistentInvariants, OracleSizeExceeded
 from .higgs import build_log_higgs_complex, homology
 from .kunneth import cohomology_sheaf_closed_form, count_N, weight_counts
 from .model import LocalSystemSpec, VarietyInvariants, validate_spec
@@ -89,6 +89,13 @@ class SweepBounds:
     cusps: tuple[int, ...] = (1, 2, 5)
     oracle_cap: int | None = None
 
+    def __post_init__(self) -> None:
+        # a sweep over nothing would report OK without checking anything
+        if self.max_n < 1:
+            raise ConfigError(f"max_n must be >= 1, got {self.max_n}")
+        if self.max_m < 0:
+            raise ConfigError(f"max_m must be >= 0, got {self.max_m}")
+
 
 def _iter_weights(n: int, max_m: int):
     return iter_product(range(max_m + 1), repeat=n)
@@ -107,7 +114,8 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
     """Homology of every slice equals the closed form, cell by cell.
 
     One result per (n, m, P); a complex over the size cap is recorded as
-    skipped, not failed.  The chain property of every complex is asserted
+    skipped, not failed, and an assertion inside ``homology`` as a failure
+    of that result.  The chain property of every complex is asserted
     alongside, one aggregated result per (n, m).
     """
     report = CheckReport()
@@ -122,14 +130,20 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
                     cx = build_log_higgs_complex(spec, P, validate=False)
                     cx.verify_chain_property()
                     cx.verify_monomial_grading()
+                except AssertionError as exc:
+                    chain_ok = False
+                    report.results.append(
+                        CheckResult("chain_property", params, "fail", str(exc), "")
+                    )
+                    continue
+                try:
                     got = homology(cx, cap=bounds.oracle_cap)
                 except OracleSizeExceeded as exc:
                     report.skip("oracle_equivalence", params, str(exc))
                     continue
                 except AssertionError as exc:
-                    chain_ok = False
                     report.results.append(
-                        CheckResult("chain_property", params, "fail", str(exc), "")
+                        CheckResult("oracle_equivalence", params, "fail", str(exc), "")
                     )
                     continue
                 want = [

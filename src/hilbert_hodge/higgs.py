@@ -33,7 +33,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterator
 
 from .errors import BadHodgeIndex, ConfigError, OracleSizeExceeded
 from .linalg import integer_matrix_rank
@@ -43,17 +42,21 @@ DEFAULT_ORACLE_CAP = 10**6
 ORACLE_CAP_ENV = "HILBERT_HODGE_ORACLE_CAP"
 
 
-def default_oracle_cap() -> int:
-    """Basis-size cap for the oracle, overridable via the environment."""
-    raw = os.environ.get(ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}")
+def default_oracle_cap(cap: int | None = None) -> int:
+    """Basis-size cap for the oracle: ``cap`` if given, else the environment
+    override, else 10^6.  Whatever its source, the cap must be >= 1."""
+    source = "oracle_cap"
+    if cap is None:
+        raw = os.environ.get(ORACLE_CAP_ENV)
+        if raw is None:
+            return DEFAULT_ORACLE_CAP
+        source = ORACLE_CAP_ENV
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ConfigError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}")
     if cap < 1:
-        raise ConfigError(f"{ORACLE_CAP_ENV} must be >= 1, got {cap}")
+        raise ConfigError(f"{source} must be >= 1, got {cap}")
     return cap
 
 
@@ -258,8 +261,7 @@ def homology(cx: HiggsChainComplex, *, cap: int | None = None) -> HomologyResult
     Raises :class:`OracleSizeExceeded` when the total basis is larger than
     the cap (default from the environment, else 10^6).
     """
-    if cap is None:
-        cap = default_oracle_cap()
+    cap = default_oracle_cap(cap)
     if cx.total_size > cap:
         raise OracleSizeExceeded(
             f"complex has {cx.total_size} basis elements, cap is {cap}"
@@ -295,16 +297,12 @@ def homology(cx: HiggsChainComplex, *, cap: int | None = None) -> HomologyResult
     return result
 
 
-def iter_hodge_indices(spec: LocalSystemSpec) -> Iterator[int]:
-    return iter(range(spec.weight + spec.n + 1))
-
-
 def full_homology(
     spec: LocalSystemSpec, *, cap: int | None = None, validate: bool | None = None
 ) -> HomologyResult:
     """Homology of every Hodge-index slice, merged into one result."""
     total = HomologyResult()
-    for P in iter_hodge_indices(spec):
+    for P in range(spec.weight + spec.n + 1):
         cx = build_log_higgs_complex(spec, P, validate=validate)
         total.merge(homology(cx, cap=cap))
     return total

@@ -67,12 +67,15 @@ def unit_matrix() -> SheafMatrix:
     return SheafMatrix(0, (), {(0, 0): Counter({LineBundleMonomial(()): 1})})
 
 
-def cohomology_sheaf_closed_form(spec: LocalSystemSpec) -> SheafMatrix:
-    """The full sheaf matrix of ``m``: one monomial ``C_I`` per subset ``I``."""
-    n = spec.n
-    m = spec.m
+def subset_monomials(m):
+    """Yield ``(P, l, C_I)`` for every subset ``I`` of ``{1..n}``.
+
+    ``l = |I|`` and ``P = |m_I| + |I|``; subsets come in order of increasing
+    ``l``, so a caller that needs ``l <= k`` only can stop at the first
+    larger ``l``.  This is the one place the monomials ``C_I`` are built.
+    """
+    n = len(m)
     base = [-mi for mi in m]
-    cells: dict[tuple[int, int], Counter] = {}
     for l in range(n + 1):
         for wedge in combinations(range(n), l):
             exps = base.copy()
@@ -80,9 +83,15 @@ def cohomology_sheaf_closed_form(spec: LocalSystemSpec) -> SheafMatrix:
             for i in wedge:
                 exps[i] = m[i] + 2
                 P += m[i]
-            mono = LineBundleMonomial(tuple(exps))
-            cells.setdefault((P, l), Counter())[mono] += 1
-    return SheafMatrix(n, m, cells)
+            yield P, l, LineBundleMonomial(tuple(exps))
+
+
+def cohomology_sheaf_closed_form(spec: LocalSystemSpec) -> SheafMatrix:
+    """The full sheaf matrix of ``m``: one monomial ``C_I`` per subset ``I``."""
+    cells: dict[tuple[int, int], Counter] = {}
+    for P, l, mono in subset_monomials(spec.m):
+        cells.setdefault((P, l), Counter())[mono] += 1
+    return SheafMatrix(spec.n, spec.m, cells)
 
 
 def single_factor_matrix(mi: int) -> SheafMatrix:

@@ -64,11 +64,6 @@ class LineBundleMonomial:
     def __mul__(self, other: "LineBundleMonomial") -> "LineBundleMonomial":
         return monomial_mul(self, other)
 
-    def twist_minus_S(self) -> "LineBundleMonomial":
-        if self.minus_S:
-            raise DoubleTwist("monomial already carries the O(-S) twist")
-        return LineBundleMonomial(self.exponents, minus_S=True)
-
     def concat(self, other: "LineBundleMonomial") -> "LineBundleMonomial":
         """Juxtapose two monomials over disjoint factor sets (Kunneth side)."""
         if self.minus_S and other.minus_S:
@@ -184,28 +179,22 @@ def validate_spec(n: int, m, *, table: bool = False) -> LocalSystemSpec:
     and a non-trivial system.  Without it the engine rules apply (``n >= 1``,
     any non-negative weights), which is what the homology oracle needs.
     """
-    m = tuple(int(mi) for mi in m)
-    if n < 1:
-        raise BadDegree(f"need n >= 1 upper-half-plane factors, got {n}")
-    if len(m) != n:
-        raise BadDegree(f"m has length {len(m)}, expected n = {n}")
-    if any(mi < 0 for mi in m):
-        raise BadDegree(f"all weights must be >= 0, got m = {m}")
+    spec = LocalSystemSpec(n, tuple(int(mi) for mi in m))
     if table:
-        if n < 2:
-            raise BadDegree(
-                f"cohomology tables need a variety of dimension n >= 2, got n = {n}"
-            )
-        if all(mi == 0 for mi in m):
-            raise TrivialSystem(
-                "trivial local system: tables cover non-trivial systems only"
-            )
-    return LocalSystemSpec(n, m)
+        require_table_mode(spec)
+    return spec
 
 
 def require_table_mode(spec: LocalSystemSpec) -> None:
-    """Re-check the table-assembly rules on an already built spec."""
-    validate_spec(spec.n, spec.m, table=True)
+    """The table-assembly rules: ``n >= 2`` and a non-trivial system."""
+    if spec.engine_only:
+        raise BadDegree(
+            f"cohomology tables need a variety of dimension n >= 2, got n = {spec.n}"
+        )
+    if spec.is_trivial:
+        raise TrivialSystem(
+            "trivial local system: tables cover non-trivial systems only"
+        )
 
 
 @dataclass(frozen=True)

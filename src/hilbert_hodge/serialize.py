@@ -46,9 +46,7 @@ def _label_obj(label: SheafCohomologyLabel) -> dict:
 
 def _label_from(obj: dict) -> SheafCohomologyLabel:
     return SheafCohomologyLabel(
-        int(obj["degree"]),
-        LineBundleMonomial(tuple(obj["exponents"]), bool(obj["minus_s"])),
-        bool(obj["restricted_to_s"]),
+        int(obj["degree"]), _monomial_from(obj), bool(obj["restricted_to_s"])
     )
 
 

@@ -27,9 +27,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import DictionaryMiss
-from .kunneth import weight_counts
+from .kunneth import subset_monomials, weight_counts
 from .model import (
-    LineBundleMonomial,
     LocalSystemSpec,
     SheafCohomologyLabel,
     VarietyInvariants,
@@ -50,17 +49,11 @@ def gr_F_labels(
     """
     if not 0 <= k <= 2 * spec.n:
         raise ValueError(f"degree k must lie in [0, {2 * spec.n}], got {k}")
-    n = spec.n
-    m = spec.m
     out: dict[int, list[SheafCohomologyLabel]] = {}
-    for l in range(min(n, k) + 1):
-        for wedge in combinations(range(n), l):
-            chosen = set(wedge)
-            P = sum(m[i] + 1 for i in wedge)
-            mono = LineBundleMonomial(
-                tuple(m[i] + 2 if i in chosen else -m[i] for i in range(n))
-            )
-            out.setdefault(P, []).append(SheafCohomologyLabel(k - l, mono))
+    for P, l, mono in subset_monomials(spec.m):
+        if l > k:
+            break
+        out.setdefault(P, []).append(SheafCohomologyLabel(k - l, mono))
     return {P: tuple(sorted(labels)) for P, labels in out.items()}
 
 
@@ -260,11 +253,9 @@ class MhsTable:
 
 def mhs_table(spec: LocalSystemSpec, inv: VarietyInvariants) -> MhsTable:
     """Assemble the full mixed-Hodge-structure table of the system."""
-    require_table_mode(spec)
+    ih = ih_table(spec, inv)
     n = spec.n
     w = spec.weight + n
-    D = inv.l2_dim(spec)
-    counts = weight_counts(spec.m)
     table = MhsTable(spec, inv, mhs_field="Q" if spec.is_parallel else "R")
 
     for k in range(2 * n + 1):
@@ -277,12 +268,9 @@ def mhs_table(spec: LocalSystemSpec, inv: VarietyInvariants) -> MhsTable:
 
         eis = eisenstein_data(spec, inv, k)
         if k == n:
-            ih_part = 2**n * D
+            ih_part = ih.middle_dim
             eis_part = eis.dim
-            hodge = {}
-            for P, N in enumerate(counts):
-                if N and D:
-                    hodge[(P, w - P)] = N * D
+            hodge = dict(ih.hodge)
             if eis_part:
                 # (w, w) cannot collide with a (P, w - P) entry since w >= 2
                 hodge[(w, w)] = eis_part

@@ -1,11 +1,15 @@
 """CLI behavior: verbs, formats, config handling, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hilbert_hodge import cli
 from hilbert_hodge.consistency import CheckReport
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -171,6 +175,26 @@ class TestVerifyVerb:
         assert code == 1
         assert "HILBERT_HODGE_ORACLE_CAP" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--max-n", "0"), "max_n must be >= 1"),
+            (("--max-m", "-1"), "max_m must be >= 0"),
+            (("--oracle-cap", "0"), "oracle_cap must be >= 1"),
+        ],
+    )
+    def test_empty_sweep_or_cap_exits_one(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", *flags)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_env_cap_zero_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "0")
+        code, _, err = run(capsys, "verify", "--max-n", "2", "--max-m", "1")
+        assert code == 1
+        assert "HILBERT_HODGE_ORACLE_CAP must be >= 1" in err
+
     def test_latex_summary_balanced(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--max-n", "2", "--max-m", "1", "--format", "latex"
@@ -276,3 +300,32 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "table" in capsys.readouterr().out
+
+
+class TestTextAndLatexGolden:
+    """Text and LaTeX renderings, pinned byte for byte."""
+
+    CASES = [
+        (
+            ["table", "--n", "3", "--m", "2,0,1", "--cusps", "3", "--genus", "2"],
+            "table_n3_m201_h3_g2",
+        ),
+        (["sheaf-matrix", "--n", "3", "--m", "2,0,1"], "sheaf_matrix_n3_m201"),
+        (
+            ["eisenstein", "--n", "3", "--m", "2,2,2", "--cusps", "1", "--genus", "1"],
+            "eisenstein_n3_m222_h1_g1",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (argv + ["--format", fmt], f"{stem}.{suffix}")
+            for argv, stem in CASES
+            for fmt, suffix in (("text", "txt"), ("latex", "tex"))
+        ],
+    )
+    def test_byte_identical(self, capsys, argv, golden):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()

@@ -14,6 +14,7 @@ from hilbert_hodge import (
     run_verification,
     validate_spec,
 )
+from hilbert_hodge import consistency
 from hilbert_hodge.consistency import constant_coefficient_ih_dim, iter_table_inputs
 
 
@@ -139,6 +140,25 @@ class TestOracleEquivalenceCheck:
         assert names == {"oracle_equivalence", "chain_property"}
         passed, failed, skipped = report.counts()
         assert failed == 0 and skipped == 0 and passed > 0
+
+    def test_homology_error_is_an_oracle_failure(self, monkeypatch):
+        def broken(cx, *, cap=None):
+            raise AssertionError("rank bookkeeping produced a negative dimension")
+
+        monkeypatch.setattr(consistency, "homology", broken)
+        report = check_oracle_equivalence(SweepBounds(max_n=1, max_m=1))
+        by_name = {}
+        for r in report.results:
+            by_name.setdefault(r.name, []).append(r)
+        assert {r.status for r in by_name["chain_property"]} == {"pass"}
+        failures = by_name["oracle_equivalence"]
+        # one failure per (n, m, P): m=(0) has P in {0,1}, m=(1) has {0,1,2}
+        assert [r.params for r in failures] == [
+            "n=1 m=(0,) P=0", "n=1 m=(0,) P=1",
+            "n=1 m=(1,) P=0", "n=1 m=(1,) P=1", "n=1 m=(1,) P=2",
+        ]
+        assert all(r.status == "fail" for r in failures)
+        assert "negative dimension" in failures[0].lhs
 
     def test_cap_produces_skips_not_failures(self):
         report = check_oracle_equivalence(

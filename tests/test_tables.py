@@ -4,6 +4,7 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hilbert_hodge import (
     DictionaryMiss,
@@ -60,6 +61,24 @@ class TestGrFLabels:
             label(1, -1, 2, 2),
             label(2, 3, 0, 0),
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple))
+    def test_matches_per_subset_enumeration(self, m):
+        n = len(m)
+        spec = validate_spec(n, m)
+        for k in range(2 * n + 1):
+            expected = {}
+            for mask in range(2**n):
+                chosen = [i for i in range(n) if mask >> i & 1]
+                if len(chosen) > k:
+                    continue
+                P = sum(m[i] + 1 for i in chosen)
+                exps = [m[i] + 2 if i in chosen else -m[i] for i in range(n)]
+                expected.setdefault(P, []).append(label(k - len(chosen), *exps))
+            assert gr_F_labels(spec, k) == {
+                P: tuple(sorted(labels)) for P, labels in expected.items()
+            }
 
 
 class TestDimensionDictionary:
