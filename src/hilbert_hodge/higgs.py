@@ -23,20 +23,23 @@ Two structural facts make the homology cheap and exact:
 * all coefficients are integers, so ranks can be taken by fraction-free
   elimination with no rounding anywhere.
 
-Nothing in this module knows the closed-form answer; it is the independent
-side of the cross-validation.
+Homology comes back as a ``SheafMatrix``, the type of the closed form, but
+nothing here knows the closed-form answer: this is the independent side of
+the cross-validation.  A slice over the size cap is refused from its
+closed-form size, before anything is built.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .errors import BadHodgeIndex, ConfigError, OracleSizeExceeded
-from .linalg import integer_matrix_rank
-from .model import LineBundleMonomial, LocalSystemSpec
+from .linalg import rank_from_sparse
+from .model import LineBundleMonomial, LocalSystemSpec, SheafMatrix
 
 DEFAULT_ORACLE_CAP = 10**6
 ORACLE_CAP_ENV = "HILBERT_HODGE_ORACLE_CAP"
@@ -71,13 +74,6 @@ class HiggsBasisElement:
     t: tuple[int, ...]
     wedge: tuple[int, ...]
 
-    @property
-    def form_degree(self) -> int:
-        return len(self.wedge)
-
-    def hodge_index(self, m: tuple[int, ...]) -> int:
-        return sum(mi - ti for mi, ti in zip(m, self.t)) + len(self.wedge)
-
     def monomial(self, m: tuple[int, ...]) -> LineBundleMonomial:
         wedge = set(self.wedge)
         return LineBundleMonomial(
@@ -86,27 +82,6 @@ class HiggsBasisElement:
                 for i, (mi, ti) in enumerate(zip(m, self.t))
             )
         )
-
-    def __str__(self) -> str:
-        return f"(t={self.t}, I={set(self.wedge) or '{}'})"
-
-
-def build_higgs_bundle(
-    spec: LocalSystemSpec,
-) -> list[tuple[tuple[int, ...], tuple[int, int], LineBundleMonomial]]:
-    """Monomial basis of the Higgs bundle with bigrading and line bundle.
-
-    Returns one entry ``(t, (p, q), monomial)`` per basis element, where
-    ``p = sum(m_i - t_i)``, ``q = sum(t_i)`` and the monomial has exponents
-    ``m_i - 2 t_i``.  The number of entries equals the rank of the system.
-    """
-    out = []
-    for t in product(*(range(mi + 1) for mi in spec.m)):
-        p = sum(mi - ti for mi, ti in zip(spec.m, t))
-        q = sum(t)
-        mono = LineBundleMonomial(tuple(mi - 2 * ti for mi, ti in zip(spec.m, t)))
-        out.append((t, (p, q), mono))
-    return out
 
 
 @dataclass
@@ -141,9 +116,7 @@ class HiggsChainComplex:
                     composite[(tgt, src)] += c_high * c_low
             bad = {k: v for k, v in composite.items() if v != 0}
             if bad:
-                raise AssertionError(
-                    f"d o d != 0 at degree {l} for P={self.P}: {bad}"
-                )
+                raise AssertionError(f"d o d != 0 at degree {l} for P={self.P}: {bad}")
 
     def verify_monomial_grading(self) -> None:
         """Assert every differential entry connects identical monomials."""
@@ -161,31 +134,46 @@ class HiggsChainComplex:
                     )
 
 
-def _koszul_sign(i: int, wedge: tuple[int, ...]) -> int:
-    """Sign for inserting factor ``i`` into the sorted wedge ``I``."""
-    return -1 if sum(1 for j in wedge if j < i) % 2 else 1
+def slice_size(spec: LocalSystemSpec, P: int) -> int:
+    """Number of basis elements of the slice at Hodge index P, in closed form.
+
+    Degree ``l`` pairs a subset of size ``l`` with a ``t`` of sum
+    ``|m| - P + l``, so the size is ``sum_l C(n, l) * c(|m| - P + l)`` where
+    ``c(s)`` is the coefficient of ``x^s`` in ``prod_i (1 + x + ... + x^{m_i})``.
+    """
+    c = [1]
+    for mi in spec.m:
+        c = [sum(c[max(0, s - mi) : s + 1]) for s in range(len(c) + mi)]
+    return sum(
+        comb(spec.n, l) * c[s]
+        for l in range(spec.n + 1)
+        if 0 <= (s := spec.weight - P + l) < len(c)
+    )
 
 
 def build_log_higgs_complex(
-    spec: LocalSystemSpec, P: int, *, validate: bool | None = None
+    spec: LocalSystemSpec, P: int, *, cap: int | None = None
 ) -> HiggsChainComplex:
     """Assemble the slice of the logarithmic Higgs complex at Hodge index P.
 
     The differential of a basis element ``(t, I)`` is
 
         d(t, I) = sum over i not in I of
-                  sign(i, I) * (m_i - t_i) * (t + delta_i, I + {i}),
+                  (-1)^#{j in I : j < i} * (m_i - t_i) * (t + delta_i, I + {i}),
 
-    and summands with coefficient zero (``t_i = m_i``) are omitted.  With
-    ``validate`` (default: only under ``__debug__``) the chain property and
-    the monomial grading are asserted on the result.
+    and summands with coefficient zero (``t_i = m_i``) are omitted.  Raises
+    :class:`OracleSizeExceeded` before building anything when the slice is
+    larger than the cap (default from the environment, else 10^6).
     """
     if not 0 <= P <= spec.weight + spec.n:
         raise BadHodgeIndex(
             f"Hodge index P must lie in [0, {spec.weight + spec.n}], got {P}"
         )
-    n = spec.n
-    m = spec.m
+    cap = default_oracle_cap(cap)
+    size = slice_size(spec, P)
+    if size > cap:
+        raise OracleSizeExceeded(f"complex has {size} basis elements, cap is {cap}")
+    n, m = spec.n, spec.m
 
     terms: list[tuple[HiggsBasisElement, ...]] = []
     index_of: list[dict[HiggsBasisElement, int]] = []
@@ -205,104 +193,73 @@ def build_log_higgs_complex(
     for l in range(n):
         d: dict[tuple[int, int], int] = {}
         for src, el in enumerate(terms[l]):
-            in_wedge = set(el.wedge)
             for i in range(1, n + 1):
-                if i in in_wedge:
-                    continue
                 coeff = m[i - 1] - el.t[i - 1]
-                if coeff == 0:
+                if coeff == 0 or i in el.wedge:
                     continue
-                t_new = list(el.t)
-                t_new[i - 1] += 1
-                target = HiggsBasisElement(
-                    tuple(t_new), tuple(sorted(el.wedge + (i,)))
-                )
-                tgt = index_of[l + 1][target]
-                d[(tgt, src)] = _koszul_sign(i, el.wedge) * coeff
+                t = el.t[: i - 1] + (el.t[i - 1] + 1,) + el.t[i:]
+                target = HiggsBasisElement(t, tuple(sorted(el.wedge + (i,))))
+                sign = -1 if sum(1 for j in el.wedge if j < i) % 2 else 1
+                d[(index_of[l + 1][target], src)] = sign * coeff
         differentials.append(d)
 
-    cx = HiggsChainComplex(spec, P, tuple(terms), tuple(differentials))
-    if validate is None:
-        validate = __debug__
-    if validate:
-        cx.verify_chain_property()
-        cx.verify_monomial_grading()
-    return cx
+    return HiggsChainComplex(spec, P, tuple(terms), tuple(differentials))
 
 
-@dataclass
-class HomologyResult:
-    """Homology of Higgs complexes as monomial multisets.
-
-    ``cells`` maps ``(P, l)`` to a Counter of line-bundle monomials with
-    multiplicities; cells that would be empty are omitted.
-    """
-
-    cells: dict[tuple[int, int], Counter] = field(default_factory=dict)
-
-    def add(self, P: int, l: int, monomial: LineBundleMonomial, dim: int) -> None:
-        if dim:
-            self.cells.setdefault((P, l), Counter())[monomial] += dim
-
-    def merge(self, other: "HomologyResult") -> None:
-        for key, counter in other.cells.items():
-            self.cells.setdefault(key, Counter()).update(counter)
-
-    def sorted_cells(self) -> list[tuple[tuple[int, int], list[LineBundleMonomial]]]:
-        return [
-            (key, sorted(self.cells[key].elements())) for key in sorted(self.cells)
-        ]
-
-
-def homology(cx: HiggsChainComplex, *, cap: int | None = None) -> HomologyResult:
+def homology(cx: HiggsChainComplex) -> SheafMatrix:
     """Homology of one complex, computed blockwise by exact integer rank.
 
     Per monomial block, ``dim H^l = dim(term_l) - rank(d_l) - rank(d_{l-1})``.
-    Raises :class:`OracleSizeExceeded` when the total basis is larger than
-    the cap (default from the environment, else 10^6).
+    Each element gets a block number and a position in its block once; one
+    pass over each differential then hands every entry to its block.  An
+    entry between two blocks raises ``AssertionError``.
     """
-    cap = default_oracle_cap(cap)
-    if cx.total_size > cap:
-        raise OracleSizeExceeded(
-            f"complex has {cx.total_size} basis elements, cap is {cap}"
-        )
-    n = cx.spec.n
-    m = cx.spec.m
-
-    # block structure: monomial -> per degree, list of global indices
-    blocks: dict[LineBundleMonomial, list[list[int]]] = {}
+    n, m = cx.spec.n, cx.spec.m
+    block_of: dict[LineBundleMonomial, int] = {}
+    sizes: list[list[int]] = []  # block -> number of its elements per degree
+    block: list[list[int]] = [[] for _ in cx.terms]  # degree -> element -> block
+    local: list[list[int]] = [[] for _ in cx.terms]  # position within the block
     for l, term in enumerate(cx.terms):
-        for idx, el in enumerate(term):
-            blocks.setdefault(el.monomial(m), [[] for _ in range(n + 1)])[l].append(idx)
+        for el in term:
+            b = block_of.setdefault(el.monomial(m), len(sizes))
+            if b == len(sizes):
+                sizes.append([0] * (n + 1))
+            block[l].append(b)
+            local[l].append(sizes[b][l])
+            sizes[b][l] += 1
 
-    result = HomologyResult()
-    for mono in sorted(blocks):
-        per_l = blocks[mono]
-        local = [{g: i for i, g in enumerate(indices)} for indices in per_l]
-        ranks = []
-        for l in range(n):
-            rows = [[0] * len(per_l[l]) for _ in range(len(per_l[l + 1]))]
-            any_entry = False
-            for (tgt, src), coeff in cx.differentials[l].items():
-                if src in local[l] and tgt in local[l + 1]:
-                    rows[local[l + 1][tgt]][local[l][src]] = coeff
-                    any_entry = True
-            ranks.append(integer_matrix_rank(rows) if any_entry else 0)
+    # ranks[b][l + 1] is the rank of d_l on block b; d_{-1} and d_n are zero
+    ranks = [[0] * (n + 2) for _ in sizes]
+    for l, d in enumerate(cx.differentials):
+        entries: list[dict[tuple[int, int], int]] = [{} for _ in sizes]
+        for (tgt, src), coeff in d.items():
+            b = block[l][src]
+            if block[l + 1][tgt] != b:
+                raise AssertionError(f"entry {(tgt, src)} of d_{l} joins two blocks")
+            entries[b][(local[l + 1][tgt], local[l][src])] = coeff
+        for b, block_entries in enumerate(entries):
+            ranks[b][l + 1] = rank_from_sparse(
+                block_entries, sizes[b][l + 1], sizes[b][l]
+            )
+
+    cells: dict[tuple[int, int], Counter] = {}
+    for mono, b in block_of.items():
         for l in range(n + 1):
-            dim = len(per_l[l])
-            dim -= ranks[l] if l < n else 0
-            dim -= ranks[l - 1] if l > 0 else 0
-            assert dim >= 0, "rank bookkeeping produced a negative dimension"
-            result.add(cx.P, l, mono, dim)
-    return result
+            dim = sizes[b][l] - ranks[b][l + 1] - ranks[b][l]
+            if dim < 0:
+                raise AssertionError("rank bookkeeping produced a negative dimension")
+            if dim:
+                cells.setdefault((cx.P, l), Counter())[mono] = dim
+    return SheafMatrix(n, m, cells)
 
 
-def full_homology(
-    spec: LocalSystemSpec, *, cap: int | None = None, validate: bool | None = None
-) -> HomologyResult:
-    """Homology of every Hodge-index slice, merged into one result."""
-    total = HomologyResult()
+def full_homology(spec: LocalSystemSpec, *, cap: int | None = None) -> SheafMatrix:
+    """Homology of every Hodge-index slice, each checked for d o d = 0 and
+    the monomial grading first, merged into one sheaf matrix."""
+    cells: dict[tuple[int, int], Counter] = {}
     for P in range(spec.weight + spec.n + 1):
-        cx = build_log_higgs_complex(spec, P, validate=validate)
-        total.merge(homology(cx, cap=cap))
-    return total
+        cx = build_log_higgs_complex(spec, P, cap=cap)
+        cx.verify_chain_property()
+        cx.verify_monomial_grading()
+        cells.update(homology(cx).cells)
+    return SheafMatrix(spec.n, spec.m, cells)

@@ -15,51 +15,10 @@ single-factor matrices.  ``N(m, P)`` counts the subsets landing at a given
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import BadDegree
-from .model import LineBundleMonomial, LocalSystemSpec
-
-
-def _normalized(cells: dict) -> dict:
-    """Drop zero multiplicities and empty cells so dict equality is honest."""
-    out = {}
-    for key, counter in cells.items():
-        if not counter:
-            continue
-        if any(k <= 0 for k in counter.values()):
-            counter = Counter({mono: k for mono, k in counter.items() if k > 0})
-            if not counter:
-                continue
-        elif not isinstance(counter, Counter):
-            counter = Counter(counter)
-        out[key] = counter
-    return out
-
-
-@dataclass
-class SheafMatrix:
-    """Multisets of line-bundle monomials indexed by cells ``(P, l)``.
-
-    ``cells[(P, l)]`` is a Counter of monomials.  Treat instances as
-    immutable once built.
-    """
-
-    n: int
-    m: tuple[int, ...]
-    cells: dict[tuple[int, int], Counter] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.cells = _normalized(self.cells)
-
-    def sorted_cells(self) -> list[tuple[tuple[int, int], list[LineBundleMonomial]]]:
-        return [
-            (key, sorted(self.cells[key].elements())) for key in sorted(self.cells)
-        ]
-
-    def cardinality(self, P: int, l: int) -> int:
-        return sum(self.cells.get((P, l), Counter()).values())
+from .model import LineBundleMonomial, LocalSystemSpec, SheafMatrix
 
 
 def unit_matrix() -> SheafMatrix:

@@ -1,6 +1,7 @@
 """Domain types for Hilbert modular cohomology tables.
 
-Everything downstream is driven by four small immutable values:
+Everything downstream is driven by four small immutable values and one
+container built from them:
 
 * :class:`LocalSystemSpec` -- the multi-weight ``m = (m_1, ..., m_n)`` of an
   irreducible local system, one symmetric-power weight per upper-half-plane
@@ -15,15 +16,19 @@ Everything downstream is driven by four small immutable values:
 * :class:`SheafCohomologyLabel` -- a monomial together with a cohomological
   degree, i.e. the symbol ``H^k(Xbar, L_1^{s_1}...)``, with an optional
   restriction to ``S``.
+* :class:`SheafMatrix` -- multisets of monomials indexed by cells
+  ``(P, l)``: the shape of both the closed-form answer and the oracle's
+  homology, so the two are compared as equal values of one type.
 
-All values are frozen and hashable; they can be shared freely between
-threads.
+The four values are frozen and hashable; a sheaf matrix is treated as
+immutable once built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from .errors import (
     BadDegree,
@@ -97,6 +102,46 @@ def monomial_mul(a: LineBundleMonomial, b: LineBundleMonomial) -> LineBundleMono
         raise DoubleTwist("product would carry the O(-S) twist twice")
     exps = tuple(x + y for x, y in zip(a.exponents, b.exponents))
     return LineBundleMonomial(exps, minus_S=a.minus_S or b.minus_S)
+
+
+def _normalized(cells: dict) -> dict:
+    """Drop zero multiplicities and empty cells so dict equality is honest."""
+    out = {}
+    for key, counter in cells.items():
+        if not counter:
+            continue
+        if any(k <= 0 for k in counter.values()):
+            counter = Counter({mono: k for mono, k in counter.items() if k > 0})
+            if not counter:
+                continue
+        elif not isinstance(counter, Counter):
+            counter = Counter(counter)
+        out[key] = counter
+    return out
+
+
+@dataclass
+class SheafMatrix:
+    """Multisets of line-bundle monomials indexed by cells ``(P, l)``.
+
+    ``cells[(P, l)]`` is a Counter of monomials.  Treat instances as
+    immutable once built.
+    """
+
+    n: int
+    m: tuple[int, ...]
+    cells: dict[tuple[int, int], Counter] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.cells = _normalized(self.cells)
+
+    def sorted_cells(self) -> list[tuple[tuple[int, int], list[LineBundleMonomial]]]:
+        return [
+            (key, sorted(self.cells[key].elements())) for key in sorted(self.cells)
+        ]
+
+    def cardinality(self, P: int, l: int) -> int:
+        return sum(self.cells.get((P, l), Counter()).values())
 
 
 @dataclass(frozen=True, order=True)
@@ -248,7 +293,8 @@ class VarietyInvariants:
                 f"spec has n = {spec.n} but invariants have n = {self.n}"
             )
         d = (self.genus + (-1) ** self.n) * spec.rank
-        assert d >= 0
+        if d < 0:
+            raise AssertionError(f"negative dimension {d} of L2 sections")
         return d
 
     def describe(self) -> str:

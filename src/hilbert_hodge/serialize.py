@@ -19,11 +19,11 @@ from __future__ import annotations
 import json
 
 from .consistency import CheckReport, CheckResult
-from .kunneth import SheafMatrix
 from .model import (
     LineBundleMonomial,
     LocalSystemSpec,
     SheafCohomologyLabel,
+    SheafMatrix,
     VarietyInvariants,
 )
 from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable

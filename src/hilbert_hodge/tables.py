@@ -163,7 +163,8 @@ def ih_table(spec: LocalSystemSpec, inv: VarietyInvariants) -> IhTable:
             hodge[(P, w - P)] = N * D
     dims = [0] * (2 * n + 1)
     dims[n] = 2**n * D
-    assert sum(hodge.values()) == dims[n]
+    if sum(hodge.values()) != dims[n]:
+        raise AssertionError("middle Hodge numbers do not sum to dim IH^n")
     return IhTable(spec, inv, tuple(dims), hodge)
 
 
@@ -210,7 +211,8 @@ def eisenstein_data(
         beta = tuple(1 if i in members else 0 for i in range(1, n + 1))
         basis.append((a, alpha, beta))
     datum = EisensteinDatum(k, inv.cusps, tuple(basis))
-    assert datum.dim == comb(n - 1, k - n) * inv.cusps
+    if datum.dim != comb(n - 1, k - n) * inv.cusps:
+        raise AssertionError(f"boundary classes in degree {k} miscounted")
     return datum
 
 
@@ -295,9 +297,9 @@ def mhs_table(spec: LocalSystemSpec, inv: VarietyInvariants) -> MhsTable:
             table.rows[k] = MhsRow(k, dim, weights, hodge, (0, dim), gr_f, note=note)
 
     middle = table.rows[n]
-    assert sum(middle.hodge.values()) == middle.dim
-    if __debug__:
-        _assert_gr_f_consistency(table)
+    if sum(middle.hodge.values()) != middle.dim:
+        raise AssertionError("middle Hodge numbers do not sum to dim H^n")
+    _assert_gr_f_consistency(table)
     return table
 
 
@@ -317,7 +319,8 @@ def _assert_gr_f_consistency(table: MhsTable) -> None:
             except DictionaryMiss:
                 continue
             column = sum(d for (p, _), d in row.hodge.items() if p == P)
-            assert total == column, (
-                f"Gr_F^{P} of H^{row.k} resolves to {total} but the Hodge "
-                f"numbers give {column}"
-            )
+            if total != column:
+                raise AssertionError(
+                    f"Gr_F^{P} of H^{row.k} resolves to {total} but the Hodge "
+                    f"numbers give {column}"
+                )

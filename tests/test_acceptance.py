@@ -63,7 +63,7 @@ def oracle_run():
         closed = cohomology_sheaf_closed_form(spec)
         merged = {}
         for P in range(spec.weight + spec.n + 1):
-            cx = build_log_higgs_complex(spec, P, validate=False)
+            cx = build_log_higgs_complex(spec, P)
             try:
                 cx.verify_chain_property()
                 cx.verify_monomial_grading()

@@ -169,6 +169,29 @@ class TestVerifyVerb:
         assert doc["summary"]["skipped"] > 0
         assert doc["summary"]["ok"] is True
 
+    def test_oracle_cap_leaves_no_chain_property_pass(self, capsys):
+        # with cap 1 only n=1, m=(0,) has every slice (two of size 1) built;
+        # every other system has a refused slice, so its chain property
+        # cannot be reported as passing
+        doc = run_json(
+            capsys,
+            "verify", "--max-n", "2", "--max-m", "1",
+            "--oracle-cap", "1", "--format", "json",
+        )
+        chain = {
+            c["params"]: (c["status"], c["lhs"])
+            for c in doc["checks"]
+            if c["name"] == "chain_property"
+        }
+        assert chain == {
+            "n=1 m=(0,)": ("pass", "0"),
+            "n=1 m=(1,)": ("skip", "oracle cap refused 1 of 3 slices"),
+            "n=2 m=(0, 0)": ("skip", "oracle cap refused 1 of 3 slices"),
+            "n=2 m=(0, 1)": ("skip", "oracle cap refused 2 of 4 slices"),
+            "n=2 m=(1, 0)": ("skip", "oracle cap refused 2 of 4 slices"),
+            "n=2 m=(1, 1)": ("skip", "oracle cap refused 3 of 5 slices"),
+        }
+
     def test_env_cap_invalid_exits_one(self, capsys, monkeypatch):
         monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "banana")
         code, _, err = run(capsys, "verify", "--max-n", "2", "--max-m", "1")

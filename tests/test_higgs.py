@@ -7,49 +7,22 @@ import pytest
 
 from hilbert_hodge import (
     BadHodgeIndex,
+    HiggsChainComplex,
     LineBundleMonomial,
     OracleSizeExceeded,
-    build_higgs_bundle,
     build_log_higgs_complex,
     cohomology_sheaf_closed_form,
     full_homology,
     homology,
     validate_spec,
 )
-from hilbert_hodge.higgs import HiggsBasisElement, default_oracle_cap
+from hilbert_hodge import higgs
+from hilbert_hodge.higgs import HiggsBasisElement, default_oracle_cap, slice_size
+from hilbert_hodge.linalg import rank_from_sparse
 
 
 def mono(*exps):
     return LineBundleMonomial(tuple(exps))
-
-
-class TestHiggsBundle:
-    def test_two_factor_weight_one_zero(self):
-        spec = validate_spec(2, (1, 0))
-        basis = build_higgs_bundle(spec)
-        assert len(basis) == spec.rank == 2
-        assert ((0, 0), (1, 0), mono(1, 0)) in basis
-        assert ((1, 0), (0, 1), mono(-1, 0)) in basis
-
-    def test_two_factor_weight_one_one(self):
-        spec = validate_spec(2, (1, 1))
-        basis = build_higgs_bundle(spec)
-        assert len(basis) == 4
-        by_bigrading = {}
-        for _, pq, m in basis:
-            by_bigrading.setdefault(pq, []).append(m)
-        assert by_bigrading[(2, 0)] == [mono(1, 1)]
-        assert sorted(by_bigrading[(1, 1)]) == [mono(-1, 1), mono(1, -1)]
-        assert by_bigrading[(0, 2)] == [mono(-1, -1)]
-
-    def test_trivial_system(self):
-        spec = validate_spec(2, (0, 0))
-        assert build_higgs_bundle(spec) == [((0, 0), (0, 0), mono(0, 0))]
-
-    @pytest.mark.parametrize("m", [(0,), (3,), (1, 2), (2, 2, 1)])
-    def test_count_is_rank(self, m):
-        spec = validate_spec(len(m), m)
-        assert len(build_higgs_bundle(spec)) == spec.rank
 
 
 class TestSmallComplexes:
@@ -118,14 +91,14 @@ class TestStructuralSweep:
     def test_oracle_equals_closed_form(self):
         # the central dual-route property
         for spec in sweep_specs(3, 3):
-            got = full_homology(spec, validate=False)
+            got = full_homology(spec)
             want = cohomology_sheaf_closed_form(spec)
             assert got.sorted_cells() == want.sorted_cells(), spec.describe()
 
     def test_chain_property_and_grading(self):
         for spec in sweep_specs(3, 2):
             for P in range(spec.weight + spec.n + 1):
-                cx = build_log_higgs_complex(spec, P, validate=False)
+                cx = build_log_higgs_complex(spec, P)
                 cx.verify_chain_property()
                 cx.verify_monomial_grading()
 
@@ -135,7 +108,7 @@ class TestStructuralSweep:
         for spec in sweep_specs(3, 2):
             total = 0
             for P in range(spec.weight + spec.n + 1):
-                cx = build_log_higgs_complex(spec, P, validate=False)
+                cx = build_log_higgs_complex(spec, P)
                 total += sum(
                     (-1) ** l * len(term) for l, term in enumerate(cx.terms)
                 )
@@ -148,7 +121,7 @@ class TestStructuralSweep:
         # per slice: alternating homology sum equals alternating term sum
         for spec in sweep_specs(2, 2):
             for P in range(spec.weight + spec.n + 1):
-                cx = build_log_higgs_complex(spec, P, validate=False)
+                cx = build_log_higgs_complex(spec, P)
                 h = homology(cx)
                 lhs = sum(
                     (-1) ** l * sum(counter.values())
@@ -161,18 +134,33 @@ class TestStructuralSweep:
 class TestOracleCap:
     def test_cap_exceeded(self):
         spec = validate_spec(2, (2, 2))
-        cx = build_log_higgs_complex(spec, 4)
         with pytest.raises(OracleSizeExceeded):
-            homology(cx, cap=2)
+            build_log_higgs_complex(spec, 4, cap=2)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "3")
         assert default_oracle_cap() == 3
         spec = validate_spec(2, (2, 2))
-        cx = build_log_higgs_complex(spec, 4)
-        if cx.total_size > 3:
-            with pytest.raises(OracleSizeExceeded):
-                homology(cx)
+        assert slice_size(spec, 4) > 3
+        with pytest.raises(OracleSizeExceeded):
+            build_log_higgs_complex(spec, 4)
+
+    def test_closed_form_size_is_the_built_size(self):
+        for spec in sweep_specs(4, 3):
+            for P in range(spec.weight + spec.n + 1):
+                cx = build_log_higgs_complex(spec, P)
+                assert slice_size(spec, P) == cx.total_size, (spec.m, P)
+
+    def test_refused_before_any_basis_element_exists(self, monkeypatch):
+        class Unbuildable:
+            def __init__(self, *args):
+                raise AssertionError("a basis element was built")
+
+        monkeypatch.setattr(higgs, "HiggsBasisElement", Unbuildable)
+        spec = validate_spec(6, (3,) * 6)
+        # the middle slice has 34,124 basis elements
+        with pytest.raises(OracleSizeExceeded, match="34124 basis elements, cap is 10"):
+            build_log_higgs_complex(spec, 12, cap=10)
 
     def test_env_invalid(self, monkeypatch):
         from hilbert_hodge import ConfigError
@@ -187,3 +175,35 @@ class TestOracleCap:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("HILBERT_HODGE_ORACLE_CAP", raising=False)
         assert default_oracle_cap() == 10**6
+
+
+class TestBlockPass:
+    def test_entry_between_blocks_raises(self):
+        spec = validate_spec(2, (1, 0))
+        # (t=(0,0), I={}) has monomial L1^1, (t=(0,0), I={2}) has L1^1 L2^2
+        cx = HiggsChainComplex(
+            spec,
+            1,
+            ((HiggsBasisElement((0, 0), ()),), (HiggsBasisElement((0, 0), (2,)),), ()),
+            ({(0, 0): 1}, {}),
+        )
+        with pytest.raises(AssertionError, match="joins two blocks"):
+            homology(cx)
+
+    def test_cell_totals_match_unblocked_ranks(self):
+        for spec in sweep_specs(3, 2):
+            for P in range(spec.weight + spec.n + 1):
+                cx = build_log_higgs_complex(spec, P)
+                ranks = [
+                    rank_from_sparse(d, len(cx.terms[l + 1]), len(cx.terms[l]))
+                    for l, d in enumerate(cx.differentials)
+                ]
+                ranks = [0, *ranks, 0]
+                want = {
+                    (P, l): len(term) - ranks[l + 1] - ranks[l]
+                    for l, term in enumerate(cx.terms)
+                }
+                got = homology(cx)
+                have = {key: got.cardinality(*key) for key in want}
+                assert have == want, (spec.m, P)
+
