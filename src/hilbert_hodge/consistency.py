@@ -10,7 +10,9 @@ Each check pits two independently derived quantities against one another:
 * ``hrr`` -- the Riemann-Roch route to the dimension of square-integrable
   sections against the direct formula;
 * ``table_identities`` -- internal shape constraints of the assembled
-  tables (Hodge symmetry, weight levels, splitting, subset-count sums).
+  tables (Hodge symmetry, weight levels, splitting, subset-count sums),
+  and ``table_assembly``, the table's own checks such as Gr_F against the
+  dimension dictionary.
 
 Failures never abort a sweep; they are collected into the report.
 """
@@ -53,6 +55,9 @@ class CheckReport:
 
     def skip(self, name: str, params: str, reason: str) -> None:
         self.results.append(CheckResult(name, params, "skip", reason, ""))
+
+    def fail(self, name: str, params: str, reason: str) -> None:
+        self.results.append(CheckResult(name, params, "fail", reason, ""))
 
     def extend(self, other: "CheckReport") -> None:
         self.results.extend(other.results)
@@ -110,6 +115,11 @@ def _fmt(spec: LocalSystemSpec, inv: VarietyInvariants | None = None, **extra) -
     return " ".join(parts)
 
 
+def _cell_list(sorted_cells) -> list[str]:
+    """Every monomial of the given cells, as ``"(P,l) monomial"``."""
+    return [f"({P},{l}) {mono}" for (P, l), monos in sorted_cells for mono in monos]
+
+
 def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
     """Homology of every slice equals the closed form, cell by cell.
 
@@ -123,7 +133,7 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
     for n in range(1, bounds.max_n + 1):
         for m in _iter_weights(n, bounds.max_m):
             spec = validate_spec(n, m)
-            closed = cohomology_sheaf_closed_form(spec)
+            closed = cohomology_sheaf_closed_form(spec).sorted_cells()
             chain_ok = True
             refused = 0
             for P in range(spec.weight + spec.n + 1):
@@ -139,42 +149,22 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
                     cx.verify_monomial_grading()
                 except AssertionError as exc:
                     chain_ok = False
-                    report.results.append(
-                        CheckResult("chain_property", params, "fail", str(exc), "")
-                    )
+                    report.fail("chain_property", params, str(exc))
                     continue
                 try:
                     got = homology(cx)
                 except AssertionError as exc:
-                    report.results.append(
-                        CheckResult("oracle_equivalence", params, "fail", str(exc), "")
-                    )
+                    report.fail("oracle_equivalence", params, str(exc))
                     continue
-                want = [
-                    (key, mono)
-                    for (key, monos) in closed.sorted_cells()
-                    if key[0] == P
-                    for mono in monos
-                ]
-                have = [
-                    (key, mono)
-                    for (key, monos) in got.sorted_cells()
-                    for mono in monos
-                ]
-                report.record(
-                    "oracle_equivalence",
-                    params,
-                    [f"({k[0]},{k[1]}) {mono}" for k, mono in have],
-                    [f"({k[0]},{k[1]}) {mono}" for k, mono in want],
-                )
+                have = _cell_list(got.sorted_cells())
+                want = _cell_list(cell for cell in closed if cell[0][0] == P)
+                report.record("oracle_equivalence", params, have, want)
             if chain_ok and refused:
                 total = spec.weight + spec.n + 1
                 reason = f"oracle cap refused {refused} of {total} slices"
                 report.skip("chain_property", _fmt(spec), reason)
             elif chain_ok:
-                report.results.append(
-                    CheckResult("chain_property", _fmt(spec), "pass", "0", "0")
-                )
+                report.record("chain_property", _fmt(spec), 0, 0)
     return report
 
 
@@ -232,12 +222,17 @@ def check_hrr(spec: LocalSystemSpec, inv: VarietyInvariants) -> CheckReport:
 def check_table_identities(
     spec: LocalSystemSpec, inv: VarietyInvariants
 ) -> CheckReport:
-    """Shape constraints of the assembled tables, bundled."""
+    """Shape constraints of the assembled tables, bundled.  A table that
+    fails its own assembly checks is one ``table_assembly`` failure."""
     report = CheckReport()
     params = _fmt(spec, inv)
     n = spec.n
     w = spec.weight + n
-    table = mhs_table(spec, inv)
+    try:
+        table = mhs_table(spec, inv)
+    except AssertionError as exc:
+        report.fail("table_assembly", params, str(exc))
+        return report
     ih = ih_table(spec, inv)
 
     middle = table.rows[n]

@@ -39,7 +39,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LineBundleMonomial:
     """Formal monomial ``prod_i L_i^{s_i}``, optionally twisted by ``O(-S)``.
 
@@ -49,10 +49,11 @@ class LineBundleMonomial:
 
     exponents: tuple[int, ...]
     minus_S: bool = False
+    # monomials are hashed millions of times in the sweeps; cache it
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __hash__(self) -> int:
-        # monomials are hashed millions of times in the sweeps; cache it
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.exponents, self.minus_S))
             object.__setattr__(self, "_hash", h)

@@ -1,7 +1,7 @@
 """Oracle-side tests: explicit small complexes against hand computations,
 then the structural sweeps (chain property, grading, Euler bookkeeping)."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -177,18 +177,76 @@ class TestOracleCap:
         assert default_oracle_cap() == 10**6
 
 
+def cross_block_complex():
+    """A hand-built complex whose one entry joins two monomial blocks:
+    (t=(0,0), I={}) has monomial L1^1, (t=(0,0), I={2}) has L1^1 L2^2."""
+    return HiggsChainComplex(
+        validate_spec(2, (1, 0)),
+        1,
+        ((HiggsBasisElement((0, 0), ()),), (HiggsBasisElement((0, 0), (2,)),), ()),
+        ({(0, 0): 1}, {}),
+    )
+
+
+def defining_complex(spec):
+    """Every slice straight from the definition, by brute force over all
+    ``(t, I)``: ``P -> (elements per degree, {(source, target): coeff})``."""
+    n, m = spec.n, spec.m
+    slices = {
+        P: ([set() for _ in range(n + 1)], {}) for P in range(spec.weight + n + 1)
+    }
+    for t in product(*(range(mi + 1) for mi in m)):
+        for l in range(n + 1):
+            for wedge in combinations(range(1, n + 1), l):
+                elements, entries = slices[spec.weight - sum(t) + l]
+                source = HiggsBasisElement(t, wedge)
+                elements[l].add(source)
+                for i in range(1, n + 1):
+                    if i in wedge or t[i - 1] == m[i - 1]:
+                        continue
+                    target = HiggsBasisElement(
+                        t[: i - 1] + (t[i - 1] + 1,) + t[i:],
+                        tuple(sorted(wedge + (i,))),
+                    )
+                    sign = (-1) ** sum(1 for j in wedge if j < i)
+                    entries[(source, target)] = sign * (m[i - 1] - t[i - 1])
+    return slices
+
+
+class TestDefiningFormula:
+    def test_block_build_matches_brute_force(self):
+        for spec in sweep_specs(4, 3):
+            for P, (elements, entries) in defining_complex(spec).items():
+                cx = build_log_higgs_complex(spec, P)
+                for l, term in enumerate(cx.terms):
+                    assert len(set(term)) == len(term), (spec.m, P, l)
+                    assert set(term) == elements[l], (spec.m, P, l)
+                built = {
+                    (cx.terms[l][src], cx.terms[l + 1][tgt]): coeff
+                    for l, d in enumerate(cx.differentials)
+                    for (tgt, src), coeff in d.items()
+                }
+                assert built == entries, (spec.m, P)
+
+
+class TestIndependence:
+    def test_ranks_come_from_elimination(self, monkeypatch):
+        spec = validate_spec(2, (1, 1))
+        assert any(build_log_higgs_complex(spec, 2).differentials)
+        want = cohomology_sheaf_closed_form(spec).sorted_cells()
+        assert full_homology(spec).sorted_cells() == want
+        monkeypatch.setattr(higgs, "rank_from_sparse", lambda entries, rows, cols: 0)
+        assert full_homology(spec).sorted_cells() != want
+
+    def test_grading_check_raises_on_an_entry_between_blocks(self):
+        with pytest.raises(AssertionError, match="maps L1\\^1 to L1\\^1 L2\\^2"):
+            cross_block_complex().verify_monomial_grading()
+
+
 class TestBlockPass:
     def test_entry_between_blocks_raises(self):
-        spec = validate_spec(2, (1, 0))
-        # (t=(0,0), I={}) has monomial L1^1, (t=(0,0), I={2}) has L1^1 L2^2
-        cx = HiggsChainComplex(
-            spec,
-            1,
-            ((HiggsBasisElement((0, 0), ()),), (HiggsBasisElement((0, 0), (2,)),), ()),
-            ({(0, 0): 1}, {}),
-        )
         with pytest.raises(AssertionError, match="joins two blocks"):
-            homology(cx)
+            homology(cross_block_complex())
 
     def test_cell_totals_match_unblocked_ranks(self):
         for spec in sweep_specs(3, 2):

@@ -1,22 +1,41 @@
 """Library checks that must hold under ``python -O``, which strips every
-bare ``assert``: each case runs in a fresh optimized interpreter."""
+bare ``assert``: each case runs in a fresh interpreter, optimized or, to
+show that ``-O`` changes nothing, plain."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# H^0(Xbar, L1^3 L2^3) is the whole of Gr_F^4 H^2 for n = 2, m = (1, 1); one
+# more than its true dimension must not go unnoticed
+BREAK_ONE_DICTIONARY_ENTRY = (
+    "from hilbert_hodge import tables\n"
+    "original = tables.sheaf_cohomology_dim\n"
+    "def off_by_one(label, spec, inv):\n"
+    "    d = original(label, spec, inv)\n"
+    "    hit = label.degree == 0 and label.monomial.exponents == (3, 3)\n"
+    "    return d + 1 if hit else d\n"
+    "tables.sheaf_cohomology_dim = off_by_one\n"
+)
 
-def run_optimized(code: str) -> subprocess.CompletedProcess:
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-O", "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         timeout=120,
     )
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    return run_python(code, "-O")
 
 
 def test_full_homology_checks_the_chain_property():
@@ -32,17 +51,33 @@ def test_full_homology_checks_the_chain_property():
 
 
 def test_mhs_table_checks_the_dimension_dictionary():
-    # H^0(Xbar, L1^3 L2^3) is the whole of Gr_F^4 H^2; one more than its
-    # true dimension must not go unnoticed
     done = run_optimized(
-        "from hilbert_hodge import VarietyInvariants, tables, validate_spec\n"
-        "original = tables.sheaf_cohomology_dim\n"
-        "def off_by_one(label, spec, inv):\n"
-        "    d = original(label, spec, inv)\n"
-        "    hit = label.degree == 0 and label.monomial.exponents == (3, 3)\n"
-        "    return d + 1 if hit else d\n"
-        "tables.sheaf_cohomology_dim = off_by_one\n"
+        BREAK_ONE_DICTIONARY_ENTRY
+        + "from hilbert_hodge import VarietyInvariants, validate_spec\n"
         "tables.mhs_table(validate_spec(2, (1, 1)), VarietyInvariants(2, 1, 1))\n"
     )
     assert done.returncode != 0
     assert "Gr_F^4 of H^2 resolves to 10 but the Hodge numbers give 9" in done.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_verify_records_a_broken_dimension_dictionary(flags):
+    done = run_python(
+        BREAK_ONE_DICTIONARY_ENTRY
+        + "import sys\n"
+        "from hilbert_hodge import cli\n"
+        "sys.exit(cli.main(['verify', '--max-n', '2', '--max-m', '1']))\n",
+        *flags,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ""
+    failures = [line for line in done.stdout.splitlines() if line.startswith("FAIL ")]
+    # every genus and cusp count of n = 2, m = (1, 1), and nothing else
+    assert len(failures) == 12
+    assert all(
+        line.startswith("FAIL table_assembly [n=2 m=(1, 1) ") for line in failures
+    )
+    assert (
+        "FAIL table_assembly [n=2 m=(1, 1) g=1 h=1]: lhs=Gr_F^4 of H^2 resolves "
+        "to 10 but the Hodge numbers give 9 rhs=" in failures
+    )
