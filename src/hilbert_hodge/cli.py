@@ -9,8 +9,8 @@ Verbs:
 
 Inputs come from flags or a JSON config file (flags win).  Output is text,
 JSON (canonical: sorted keys, sorted arrays) or a LaTeX tabular fragment.
-Exit status: 0 on success, 1 on a validation/configuration error, 2 when a
-verification check fails.
+Exit status: 0 on success, 1 on a validation/configuration error or an
+output over ``OUTPUT_BUDGET``, 2 when a verification check fails.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .consistency import SweepBounds, run_verification
-from .errors import ConfigError, HilbertHodgeError
+from .errors import ConfigError, HilbertHodgeError, OutputTooLarge
 from .higgs import default_oracle_cap
 from .kunneth import cohomology_sheaf_closed_form
 from .model import (
@@ -38,10 +38,13 @@ from .serialize import (
     table_document,
     verify_document,
 )
-from .tables import eisenstein_data, ih_table, mhs_table
+from .tables import eisenstein_data, gr_f_label_count, ih_table, mhs_table
 
 FORMATS = ("text", "json", "latex")
 MODES = ("table", "sheaf-matrix", "eisenstein", "verify")
+# most labels (table) or monomials (sheaf-matrix) one run may emit: this
+# admits n <= 15 for table and n <= 19 for sheaf-matrix
+OUTPUT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,14 @@ def _spec_of(config: RunConfig, *, table: bool) -> LocalSystemSpec:
 def _invariants_of(config: RunConfig, n: int) -> VarietyInvariants:
     config.require("cusps", "genus")
     return VarietyInvariants(n, config.cusps, config.genus)
+
+
+def _check_output_size(count: int, what: str) -> None:
+    """Refuse, before anything is built, an output larger than the budget."""
+    if count > OUTPUT_BUDGET:
+        raise OutputTooLarge(
+            f"output would hold {count} {what}, over the budget of {OUTPUT_BUDGET}"
+        )
 
 
 def _emit(doc: dict, fmt: str, text_renderer, latex_renderer) -> None:
@@ -314,6 +325,7 @@ def render_verify_latex(doc: dict) -> str:
 def _run_table(config: RunConfig) -> int:
     spec = _spec_of(config, table=True)
     inv = _invariants_of(config, spec.n)
+    _check_output_size(gr_f_label_count(spec.n), "Gr_F labels")
     mhs = mhs_table(spec, inv)
     ih = ih_table(spec, inv)
     eis = [eisenstein_data(spec, inv, k) for k in range(spec.n, 2 * spec.n)]
@@ -324,6 +336,7 @@ def _run_table(config: RunConfig) -> int:
 
 def _run_sheaf_matrix(config: RunConfig) -> int:
     spec = _spec_of(config, table=False)
+    _check_output_size(2**spec.n, "monomials")
     doc = sheaf_matrix_document(spec, cohomology_sheaf_closed_form(spec))
     _emit(doc, config.fmt, render_sheaf_text, render_sheaf_latex)
     return 0

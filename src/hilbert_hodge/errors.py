@@ -33,6 +33,10 @@ class OracleSizeExceeded(HilbertHodgeError):
     """The chain-complex oracle was asked for a basis larger than the cap."""
 
 
+class OutputTooLarge(HilbertHodgeError):
+    """A table or sheaf matrix would exceed the output budget."""
+
+
 class DictionaryMiss(HilbertHodgeError):
     """A sheaf-cohomology dimension that the closed-form dictionary does not
     determine.  Callers must treat this as "unknown", never as zero."""

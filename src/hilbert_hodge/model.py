@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BadDegree,
@@ -190,7 +191,10 @@ class LocalSystemSpec:
         if any(mi < 0 for mi in self.m):
             raise BadDegree(f"all weights must be >= 0, got m = {self.m}")
 
-    @property
+    # rank, is_parallel and top_exponents are read for every label the tables
+    # resolve: cached per spec in the instance __dict__, which equality, hash
+    # and repr never look at
+    @cached_property
     def rank(self) -> int:
         """Rank of the local system, prod (m_i + 1)."""
         return math.prod(mi + 1 for mi in self.m)
@@ -200,10 +204,15 @@ class LocalSystemSpec:
         """Total weight |m| = sum m_i of the variation of Hodge structure."""
         return sum(self.m)
 
-    @property
+    @cached_property
     def is_parallel(self) -> bool:
         """True when m_1 = ... = m_n (the case with boundary cohomology)."""
         return all(mi == self.m[0] for mi in self.m)
+
+    @cached_property
+    def top_exponents(self) -> tuple[int, ...]:
+        """Exponents ``m_i + 2`` of ``C_I`` for ``I = {1..n}``."""
+        return tuple(mi + 2 for mi in self.m)
 
     @property
     def is_trivial(self) -> bool:

@@ -10,13 +10,15 @@ One envelope serves every CLI verb:
 
 Only the sections a verb produces are present.  Keys are emitted sorted and
 arrays are sorted by (k, p, q), so identical inputs give byte-identical
-output everywhere.  :func:`tables_from_document` inverts the table part,
-which is what the golden-file round-trip tests rely on.
+output everywhere.  :func:`dump_json`, the package's own encoder, writes
+exactly what ``json.dumps(doc, sort_keys=True, indent=2)`` writes.
+:func:`tables_from_document` inverts the table part, which is what the
+golden-file round-trip tests rely on.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .consistency import CheckReport, CheckResult
 from .model import (
@@ -184,7 +186,41 @@ def verify_document(report: CheckReport, bounds_desc: dict) -> dict:
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline."""
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """One value whose closing bracket starts at ``newline``; only dicts with
+    str keys, lists, str, int, bool and None are accepted.  The stdlib builds
+    a list of every token when ``indent`` is set; here each container joins
+    its items and drops them before adding its brackets, to save time and
+    peak memory."""
+    cls = type(value)
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return int.__repr__(value)
+    if cls is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    if (cls is list or cls is dict) and not value:
+        return "[]" if cls is list else "{}"
+    inner = newline + "  "
+    sep = "," + inner
+    if cls is list:
+        if set(map(type, value)) == {int}:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_encode(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    if cls is dict:
+        if set(map(type, value)) != {str}:
+            raise TypeError("JSON object keys must be str")
+        body = sep.join(
+            [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
+        )
+        return f"{{{inner}{body}{newline}}}"
+    raise TypeError(f"cannot encode {cls.__name__} {value!r} as JSON")
 
 
 def tables_from_document(

@@ -57,6 +57,13 @@ def gr_F_labels(
     return {P: tuple(sorted(labels)) for P, labels in out.items()}
 
 
+def gr_f_label_count(n: int) -> int:
+    """Labels :func:`mhs_table` emits over all degrees, in closed form:
+    ``sum_l C(n, l) * (2n + 1 - l)``, one per subset ``I`` and degree
+    ``k >= |I|``."""
+    return (2 * n + 1) * 2**n - n * 2 ** (n - 1)
+
+
 def _subset_of_label(
     exponents: tuple[int, ...], m: tuple[int, ...]
 ) -> frozenset[int] | None:
@@ -96,7 +103,7 @@ def sheaf_cohomology_dim(
     m = spec.m
     D = inv.l2_dim(spec)
     e = inv.cusps if spec.is_parallel else 0
-    plus_two = tuple(mi + 2 for mi in m)
+    plus_two = spec.top_exponents
     j = label.degree
     exps = label.monomial.exponents
     if len(exps) != n:

@@ -88,6 +88,32 @@ class TestTableVerb:
         assert code == 1
         assert "inconsistent" in err
 
+    def test_oversized_table_refused_before_assembly(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mhs_table called for an oversized table")
+
+        monkeypatch.setattr(cli, "mhs_table", refuse)
+        code, out, err = run(
+            capsys, "table", "--n", "16", "--m", ",".join(["1"] * 16),
+            "--cusps", "1", "--genus", "1", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: output would hold 1638400 Gr_F labels, "
+            "over the budget of 1000000\n"
+        )
+
+    def test_n12_table_within_budget(self, capsys):
+        doc = run_json(
+            capsys, "table", "--n", "12", "--m", ",".join(["1"] * 12),
+            "--cusps", "1", "--genus", "1", "--format", "json",
+        )
+        labels = sum(
+            len(piece["labels"]) for row in doc["tables"]["H"] for piece in row["grF"]
+        )
+        assert labels == 77824
+
 
 class TestSheafMatrixVerb:
     def test_json_entries(self, capsys):
@@ -115,6 +141,17 @@ class TestSheafMatrixVerb:
         )
         assert code == 0
         assert out.count("\\begin{tabular}") == out.count("\\end{tabular}") == 1
+
+    def test_oversized_matrix_refused_before_assembly(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("closed form called for an oversized matrix")
+
+        monkeypatch.setattr(cli, "cohomology_sheaf_closed_form", refuse)
+        code, out, err = run(
+            capsys, "sheaf-matrix", "--n", "20", "--m", ",".join(["0"] * 20)
+        )
+        assert (code, out) == (1, "")
+        assert "1048576 monomials" in err
 
 
 class TestEisensteinVerb:

@@ -49,6 +49,14 @@ class TestValidateSpec:
         with pytest.raises(BadDegree):
             validate_spec(n, m)
 
+    def test_derived_values_leave_identity_alone(self):
+        used, fresh = validate_spec(3, (2, 0, 1)), validate_spec(3, (2, 0, 1))
+        assert used.rank == 6 and not used.is_parallel
+        assert used.top_exponents == (4, 2, 3)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "LocalSystemSpec(n=3, m=(2, 0, 1))"
+        assert used != validate_spec(3, (2, 1, 0))
+
     def test_direct_construction_validates_too(self):
         with pytest.raises(BadDegree):
             LocalSystemSpec(2, (1,))

@@ -20,6 +20,7 @@ from hilbert_hodge import (
     validate_spec,
 )
 from hilbert_hodge.errors import BadDegree, TrivialSystem
+from hilbert_hodge.tables import gr_f_label_count
 
 
 def mono(*exps, minus_S=False):
@@ -79,6 +80,18 @@ class TestGrFLabels:
             assert gr_F_labels(spec, k) == {
                 P: tuple(sorted(labels)) for P, labels in expected.items()
             }
+
+    @pytest.mark.parametrize("m", [(1, 1), (2, 0, 1), (1, 3, 0, 2), (1,) * 6])
+    def test_label_count_closed_form(self, m):
+        n = len(m)
+        spec = validate_spec(n, m)
+        emitted = sum(
+            len(labels)
+            for k in range(2 * n + 1)
+            for labels in gr_F_labels(spec, k).values()
+        )
+        assert gr_f_label_count(n) == emitted
+        assert emitted == sum(comb(n, l) * (2 * n + 1 - l) for l in range(n + 1))
 
 
 class TestDimensionDictionary:
