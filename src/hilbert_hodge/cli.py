@@ -42,8 +42,9 @@ from .tables import eisenstein_data, gr_f_label_count, ih_table, mhs_table
 
 FORMATS = ("text", "json", "latex")
 MODES = ("table", "sheaf-matrix", "eisenstein", "verify")
-# most labels (table) or monomials (sheaf-matrix) one run may emit: this
-# admits n <= 15 for table and n <= 19 for sheaf-matrix
+# most labels (table), monomials (sheaf-matrix) or boundary classes
+# (eisenstein) one run may emit: this admits n <= 15 for table, n <= 19 for
+# sheaf-matrix and n <= 20 for eisenstein
 OUTPUT_BUDGET = 10**6
 
 
@@ -345,6 +346,8 @@ def _run_sheaf_matrix(config: RunConfig) -> int:
 def _run_eisenstein(config: RunConfig) -> int:
     spec = _spec_of(config, table=True)
     inv = _invariants_of(config, spec.n)
+    classes = 2 ** (spec.n - 1) if spec.is_parallel else 0
+    _check_output_size(classes, "boundary classes")
     eis = [eisenstein_data(spec, inv, k) for k in range(spec.n, 2 * spec.n)]
     doc = eisenstein_document(spec, inv, eis)
     _emit(doc, config.fmt, render_eis_text, render_eis_latex)

@@ -107,35 +107,35 @@ def sheaf_cohomology_dim(
     j = label.degree
     exps = label.monomial.exponents
     if len(exps) != n:
-        raise DictionaryMiss(f"label {label} has rank {len(exps)}, spec has n={n}")
+        raise DictionaryMiss("label {} has rank {}, spec has n={}", label, len(exps), n)
 
     if label.restricted_to_S:
         if j == 0 and exps == plus_two:
             return e
-        raise DictionaryMiss(f"no dictionary entry for {label}")
+        raise DictionaryMiss("no dictionary entry for {}", label)
 
     if label.monomial.minus_S:
         if j == 0 and exps == plus_two:
             return D
-        raise DictionaryMiss(f"no dictionary entry for {label}")
+        raise DictionaryMiss("no dictionary entry for {}", label)
 
     if exps == plus_two:
         if j == 0:
             return D + e
         if 1 <= j <= n - 1:
             return comb(n - 1, j) * e
-        raise DictionaryMiss(f"no dictionary entry for {label}")
+        raise DictionaryMiss("no dictionary entry for {}", label)
 
     chosen = _subset_of_label(exps, m)
     if chosen is None:
-        raise DictionaryMiss(f"{label} is not of the form H^j(Xbar, C_I)")
+        raise DictionaryMiss("{} is not of the form H^j(Xbar, C_I)", label)
     if not chosen and j < n:
         return 0
     if j == n - len(chosen):
         return D
     raise DictionaryMiss(
-        f"no dictionary entry for {label} (only degree {n - len(chosen)} of "
-        "this monomial is determined)"
+        "no dictionary entry for {} (only degree {} of this monomial is "
+        "determined)", label, n - len(chosen)
     )
 
 
@@ -260,15 +260,20 @@ class MhsTable:
         return self.rows[self.spec.n]
 
 
-def mhs_table(spec: LocalSystemSpec, inv: VarietyInvariants) -> MhsTable:
-    """Assemble the full mixed-Hodge-structure table of the system."""
+def mhs_table(
+    spec: LocalSystemSpec, inv: VarietyInvariants, labels=None
+) -> MhsTable:
+    """Assemble the full mixed-Hodge-structure table of the system.  Each
+    ``labels[k]`` is ``gr_F_labels(spec, k)``; a sweep shares them per ``m``."""
     ih = ih_table(spec, inv)
     n = spec.n
+    if labels is None:
+        labels = [gr_F_labels(spec, k) for k in range(2 * n + 1)]
     w = spec.weight + n
     table = MhsTable(spec, inv, mhs_field="Q" if spec.is_parallel else "R")
 
     for k in range(2 * n + 1):
-        gr_f = gr_F_labels(spec, k)
+        gr_f = labels[k]
         if k < n or k == 2 * n:
             table.rows[k] = MhsRow(
                 k, 0, (), {}, (0, 0), gr_f, note=NOTE_VANISHES

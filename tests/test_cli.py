@@ -174,6 +174,29 @@ class TestEisensteinVerb:
         )
         assert all(row["dim"] == 0 for row in doc["tables"]["Eis"])
 
+    def test_oversized_output_refused_before_assembly(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eisenstein_data called for an oversized output")
+
+        monkeypatch.setattr(cli, "eisenstein_data", refuse)
+        code, out, err = run(
+            capsys, "eisenstein", "--n", "21", "--m", ",".join(["1"] * 21),
+            "--cusps", "1", "--genus", "1", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: output would hold 1048576 boundary classes, "
+            "over the budget of 1000000\n"
+        )
+
+    def test_n12_within_budget(self, capsys):
+        doc = run_json(
+            capsys, "eisenstein", "--n", "12", "--m", ",".join(["1"] * 12),
+            "--cusps", "2", "--genus", "1", "--format", "json",
+        )
+        assert sum(row["dim"] for row in doc["tables"]["Eis"]) == 2**11 * 2
+
 
 class TestVerifyVerb:
     def test_default_sweep_exit_zero(self, capsys):

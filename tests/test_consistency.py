@@ -17,6 +17,10 @@ from hilbert_hodge import (
 from hilbert_hodge import consistency
 from hilbert_hodge.consistency import constant_coefficient_ih_dim, iter_table_inputs
 
+SUBSET_COUNT_FAMILIES = (
+    "subset_count_sum", "subset_count_agreement", "subset_count_symmetry"
+)
+
 
 class TestConstantCoefficientTable:
     """Both parities evaluated by hand before the table was encoded.
@@ -213,6 +217,30 @@ class TestFullSweep:
         assert report.ok, [
             (r.name, r.params, r.lhs, r.rhs) for r in report.failures()
         ][:5]
+
+    def test_subset_counts_once_per_system(self):
+        bounds = SweepBounds(max_n=3, max_m=1)
+        pairs = iter_table_inputs(bounds)
+        systems = list(dict.fromkeys(f"n={s.n} m={s.m}" for s, _ in pairs))
+        assert len(systems) == 3 + 7
+        report = run_verification(bounds)
+        for name in SUBSET_COUNT_FAMILIES:
+            params = [r.params for r in report.results if r.name == name]
+            assert params == systems, name
+            assert all("g=" not in p and "h=" not in p for p in params)
+
+    def test_other_results_match_a_pair_by_pair_sweep(self):
+        bounds = SweepBounds(max_n=3, max_m=1)
+        want = check_oracle_equivalence(bounds).results
+        for spec, inv in iter_table_inputs(bounds):
+            want += check_euler_ih(spec, inv).results
+            want += check_hrr(spec, inv).results
+            want += check_table_identities(spec, inv).results
+        got = [
+            r for r in run_verification(bounds).results
+            if r.name not in SUBSET_COUNT_FAMILIES
+        ]
+        assert got == want
 
     def test_table_inputs_skip_invalid(self):
         pairs = list(iter_table_inputs(SweepBounds(max_n=3, max_m=1)))

@@ -131,16 +131,25 @@ class TestDimensionDictionary:
         assert sheaf_cohomology_dim(label(2, -1, -1), self.spec, self.inv) == 8
 
     def test_misses(self):
-        with pytest.raises(DictionaryMiss):
-            sheaf_cohomology_dim(label(0, 3, -1), self.spec, self.inv)
-        with pytest.raises(DictionaryMiss):
-            sheaf_cohomology_dim(label(2, 3, 3), self.spec, self.inv)
-        with pytest.raises(DictionaryMiss):
-            sheaf_cohomology_dim(label(0, 1, 1), self.spec, self.inv)
-        with pytest.raises(DictionaryMiss):
-            sheaf_cohomology_dim(label(1, 3, 3, minus_S=True), self.spec, self.inv)
-        with pytest.raises(DictionaryMiss):
-            sheaf_cohomology_dim(label(1, 3, 3, restricted=True), self.spec, self.inv)
+        # one label per raise site, with the exact message it reports
+        misses = [
+            (label(0, 3, 3, 3),
+             "label H^0(Xbar, L1^3 L2^3 L3^3) has rank 3, spec has n=2"),
+            (label(1, 3, 3, restricted=True),
+             "no dictionary entry for H^1(S, L1^3 L2^3|_S)"),
+            (label(1, 3, 3, minus_S=True),
+             "no dictionary entry for H^1(Xbar, O(-S) L1^3 L2^3)"),
+            (label(2, 3, 3), "no dictionary entry for H^2(Xbar, L1^3 L2^3)"),
+            (label(0, 1, 1),
+             "H^0(Xbar, L1^1 L2^1) is not of the form H^j(Xbar, C_I)"),
+            (label(0, 3, -1),
+             "no dictionary entry for H^0(Xbar, L1^3 L2^-1) (only degree 1 of "
+             "this monomial is determined)"),
+        ]
+        for lb, message in misses:
+            with pytest.raises(DictionaryMiss) as caught:
+                sheaf_cohomology_dim(lb, self.spec, self.inv)
+            assert str(caught.value) == message
 
     def test_non_parallel_edge_dims(self):
         spec = validate_spec(2, (1, 0), table=True)
@@ -268,6 +277,20 @@ class TestMhsTable:
         assert row.splitting == (0, 4)
         assert row.dim == 4
         assert row.hodge == {(6, 6): 4}
+
+    @pytest.mark.parametrize("m", [(1, 1, 1), (2, 0, 1)])
+    def test_shared_labels_build_the_same_table(self, m):
+        spec = validate_spec(3, m, table=True)
+        labels = [gr_F_labels(spec, k) for k in range(2 * spec.n + 1)]
+        built = 0
+        for g, h in product((0, 1, 2, 3), (1, 2, 5)):
+            try:
+                inv = VarietyInvariants(3, h, g)
+            except InconsistentInvariants:
+                continue
+            assert mhs_table(spec, inv, labels) == mhs_table(spec, inv)
+            built += 1
+        assert built == 9
 
     def test_gr_f_crosscheck_middle(self):
         spec = validate_spec(2, (1, 1), table=True)
