@@ -11,7 +11,8 @@ Each check pits two independently derived quantities against one another:
   sections against the direct formula;
 * ``table_identities`` -- internal shape constraints of the assembled
   tables (Hodge symmetry, weight levels, splitting), and ``table_assembly``,
-  the table's own checks such as Gr_F against the dimension dictionary;
+  the table's own checks such as Gr_F against the dimension dictionary on
+  every piece the dictionary covers, where a miss fails like a wrong sum;
 * ``subset_counts`` -- the subset counts ``N(m, P)`` against the weight
   counts: their sum, agreement and complement symmetry.  They depend on
   ``m`` alone, so they are checked once per system, not per variety.
@@ -29,7 +30,7 @@ from .errors import ConfigError, InconsistentInvariants, OracleSizeExceeded
 from .higgs import build_log_higgs_complex, homology
 from .kunneth import cohomology_sheaf_closed_form, count_N, weight_counts
 from .model import LocalSystemSpec, VarietyInvariants, validate_spec
-from .tables import eisenstein_data, gr_F_labels, ih_table, mhs_table
+from .tables import eisenstein_data, gr_F_label_rows, ih_table, mhs_table
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ def run_verification(bounds: SweepBounds | None = None) -> CheckReport:
     bounds = bounds or SweepBounds()
     report = check_oracle_equivalence(bounds)
     for spec, pairs in groupby(iter_table_inputs(bounds), key=lambda p: p[0]):
-        labels = [gr_F_labels(spec, k) for k in range(2 * spec.n + 1)]
+        labels = gr_F_label_rows(spec)
         report.extend(check_subset_counts(spec))
         for _, inv in pairs:
             report.extend(check_euler_ih(spec, inv))

@@ -39,12 +39,7 @@ class OutputTooLarge(HilbertHodgeError):
 
 class DictionaryMiss(HilbertHodgeError):
     """A sheaf-cohomology dimension that the closed-form dictionary does not
-    determine.  Callers must treat this as "unknown", never as zero.  The
-    message is a ``str.format`` template and its values, formatted only when
-    read: the tables catch most misses unread."""
-
-    def __str__(self) -> str:
-        return self.args[0].format(*self.args[1:])
+    determine.  Callers must treat this as "unknown", never as zero."""
 
 
 class ConfigError(HilbertHodgeError):

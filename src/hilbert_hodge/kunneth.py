@@ -31,7 +31,9 @@ def subset_monomials(m):
 
     ``l = |I|`` and ``P = |m_I| + |I|``; subsets come in order of increasing
     ``l``, so a caller that needs ``l <= k`` only can stop at the first
-    larger ``l``.  This is the one place the monomials ``C_I`` are built.
+    larger ``l``.  Within one ``l`` the order is lexicographic in ``I``, so
+    descending in the exponents of ``C_I`` (``m_i + 2 > 0 >= -m_i``).  This
+    is the one place the monomials ``C_I`` are built.
     """
     n = len(m)
     base = [-mi for mi in m]

@@ -60,17 +60,6 @@ class LineBundleMonomial:
             object.__setattr__(self, "_hash", h)
         return h
 
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    @classmethod
-    def identity(cls, n: int) -> "LineBundleMonomial":
-        return cls((0,) * n)
-
-    def __mul__(self, other: "LineBundleMonomial") -> "LineBundleMonomial":
-        return monomial_mul(self, other)
-
     def concat(self, other: "LineBundleMonomial") -> "LineBundleMonomial":
         """Juxtapose two monomials over disjoint factor sets (Kunneth side)."""
         if self.minus_S and other.minus_S:
@@ -94,16 +83,6 @@ class LineBundleMonomial:
         if self.minus_S:
             return f"\\mathcal{{O}}(-S)\\otimes {body}"
         return body
-
-
-def monomial_mul(a: LineBundleMonomial, b: LineBundleMonomial) -> LineBundleMonomial:
-    """Multiply two monomials over the same factor set (exponents add)."""
-    if a.n != b.n:
-        raise IncompatibleRank(f"cannot multiply monomials of rank {a.n} and {b.n}")
-    if a.minus_S and b.minus_S:
-        raise DoubleTwist("product would carry the O(-S) twist twice")
-    exps = tuple(x + y for x, y in zip(a.exponents, b.exponents))
-    return LineBundleMonomial(exps, minus_S=a.minus_S or b.minus_S)
 
 
 def _normalized(cells: dict) -> dict:
@@ -142,11 +121,8 @@ class SheafMatrix:
             (key, sorted(self.cells[key].elements())) for key in sorted(self.cells)
         ]
 
-    def cardinality(self, P: int, l: int) -> int:
-        return sum(self.cells.get((P, l), Counter()).values())
 
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SheafCohomologyLabel:
     """The symbol ``H^degree(Xbar, monomial)``, or ``H^degree(S, monomial|_S)``
     when ``restricted_to_S`` is set.
@@ -222,9 +198,6 @@ class LocalSystemSpec:
     def engine_only(self) -> bool:
         """True when the spec is usable by the oracle but not by tables."""
         return self.n < 2
-
-    def describe(self) -> str:
-        return f"n={self.n} m={self.m} rank={self.rank} |m|={self.weight}"
 
 
 def validate_spec(n: int, m, *, table: bool = False) -> LocalSystemSpec:
@@ -306,6 +279,3 @@ class VarietyInvariants:
         if d < 0:
             raise AssertionError(f"negative dimension {d} of L2 sections")
         return d
-
-    def describe(self) -> str:
-        return f"n={self.n} cusps={self.cusps} genus={self.genus} chi_O={self.chi_O}"

@@ -16,8 +16,11 @@ of dimension ``n`` with ``h`` cusps and geometric genus ``g``:
 
 The graded pieces of the Hodge filtration are sums of sheaf cohomology
 groups of the monomials ``C_I``; their dimensions form a small closed
-dictionary (:func:`sheaf_cohomology_dim`).  Labels outside the dictionary
-raise :class:`DictionaryMiss` rather than guessing.
+dictionary (:func:`sheaf_cohomology_dim`).  It covers every piece of
+``H^n``, the ``P = 0`` piece below ``n`` and the top piece for
+``n < k < 2n``; only those are checked against the Hodge numbers.  A label
+outside the dictionary raises :class:`DictionaryMiss` rather than guessing,
+and fails the table when its piece is covered.
 """
 
 from __future__ import annotations
@@ -40,21 +43,40 @@ NOTE_COMPUTED = ""
 
 
 def gr_F_labels(
-    spec: LocalSystemSpec, k: int
+    spec: LocalSystemSpec, k: int, subsets=None
 ) -> dict[int, tuple[SheafCohomologyLabel, ...]]:
     """Graded pieces of the Hodge filtration on ``H^k`` as label lists.
 
     For each subset ``I`` with ``k - |I| >= 0`` the piece at
     ``P = |m_I| + |I|`` receives the label ``H^{k-|I|}(Xbar, C_I)``.
+    ``subsets`` shares ``list(subset_monomials(spec.m))`` over degrees;
+    its order reversed is the sorted order of every piece.
     """
     if not 0 <= k <= 2 * spec.n:
         raise ValueError(f"degree k must lie in [0, {2 * spec.n}], got {k}")
     out: dict[int, list[SheafCohomologyLabel]] = {}
-    for P, l, mono in subset_monomials(spec.m):
+    for P, l, mono in subset_monomials(spec.m) if subsets is None else subsets:
         if l > k:
             break
         out.setdefault(P, []).append(SheafCohomologyLabel(k - l, mono))
-    return {P: tuple(sorted(labels)) for P, labels in out.items()}
+    return {P: tuple(reversed(labels)) for P, labels in out.items()}
+
+
+def gr_F_label_rows(spec: LocalSystemSpec) -> list:
+    """``gr_F_labels(spec, k)`` for every degree ``0..2n``, from one subset
+    enumeration."""
+    subsets = list(subset_monomials(spec.m))
+    return [gr_F_labels(spec, k, subsets) for k in range(2 * spec.n + 1)]
+
+
+def in_dictionary(spec: LocalSystemSpec, k: int, P: int) -> bool:
+    """Whether :func:`sheaf_cohomology_dim` covers every label of
+    ``Gr_F^P H^k``: all of ``H^n``, ``P = 0`` (``I`` empty) below ``n`` and
+    the top piece (``I = {1..n}``) for ``n < k < 2n``; nothing else."""
+    n = spec.n
+    if k < n:
+        return P == 0
+    return k == n or (k < 2 * n and P == spec.weight + n)
 
 
 def gr_f_label_count(n: int) -> int:
@@ -107,35 +129,35 @@ def sheaf_cohomology_dim(
     j = label.degree
     exps = label.monomial.exponents
     if len(exps) != n:
-        raise DictionaryMiss("label {} has rank {}, spec has n={}", label, len(exps), n)
+        raise DictionaryMiss(f"label {label} has rank {len(exps)}, spec has n={n}")
 
     if label.restricted_to_S:
         if j == 0 and exps == plus_two:
             return e
-        raise DictionaryMiss("no dictionary entry for {}", label)
+        raise DictionaryMiss(f"no dictionary entry for {label}")
 
     if label.monomial.minus_S:
         if j == 0 and exps == plus_two:
             return D
-        raise DictionaryMiss("no dictionary entry for {}", label)
+        raise DictionaryMiss(f"no dictionary entry for {label}")
 
     if exps == plus_two:
         if j == 0:
             return D + e
         if 1 <= j <= n - 1:
             return comb(n - 1, j) * e
-        raise DictionaryMiss("no dictionary entry for {}", label)
+        raise DictionaryMiss(f"no dictionary entry for {label}")
 
     chosen = _subset_of_label(exps, m)
     if chosen is None:
-        raise DictionaryMiss("{} is not of the form H^j(Xbar, C_I)", label)
+        raise DictionaryMiss(f"{label} is not of the form H^j(Xbar, C_I)")
     if not chosen and j < n:
         return 0
     if j == n - len(chosen):
         return D
     raise DictionaryMiss(
-        "no dictionary entry for {} (only degree {} of this monomial is "
-        "determined)", label, n - len(chosen)
+        f"no dictionary entry for {label} (only degree {n - len(chosen)} of "
+        "this monomial is determined)"
     )
 
 
@@ -263,12 +285,12 @@ class MhsTable:
 def mhs_table(
     spec: LocalSystemSpec, inv: VarietyInvariants, labels=None
 ) -> MhsTable:
-    """Assemble the full mixed-Hodge-structure table of the system.  Each
-    ``labels[k]`` is ``gr_F_labels(spec, k)``; a sweep shares them per ``m``."""
+    """Assemble the full mixed-Hodge-structure table of the system.
+    ``labels`` is ``gr_F_label_rows(spec)``; a sweep shares it per ``m``."""
     ih = ih_table(spec, inv)
     n = spec.n
     if labels is None:
-        labels = [gr_F_labels(spec, k) for k in range(2 * n + 1)]
+        labels = gr_F_label_rows(spec)
     w = spec.weight + n
     table = MhsTable(spec, inv, mhs_field="Q" if spec.is_parallel else "R")
 
@@ -316,20 +338,24 @@ def mhs_table(
 
 
 def _assert_gr_f_consistency(table: MhsTable) -> None:
-    """Column sums of the Hodge numbers must match the resolvable labels.
+    """Column sums of the Hodge numbers must match the labels of every
+    piece the dimension dictionary covers (:func:`in_dictionary`).
 
-    Pieces whose labels fall outside the dimension dictionary are skipped;
-    they carry no dimension claim.
+    A :class:`DictionaryMiss` inside such a piece fails the table like a
+    wrong sum; the other pieces carry no dimension claim and are skipped.
     """
+    spec, inv = table.spec, table.inv
     for row in table.rows.values():
         for P, labels in row.gr_f.items():
-            try:
-                total = sum(
-                    sheaf_cohomology_dim(lb, table.spec, table.inv)
-                    for lb in labels
-                )
-            except DictionaryMiss:
+            if not in_dictionary(spec, row.k, P):
                 continue
+            try:
+                total = sum(sheaf_cohomology_dim(lb, spec, inv) for lb in labels)
+            except DictionaryMiss as exc:
+                raise AssertionError(
+                    f"Gr_F^{P} of H^{row.k} is outside the dimension "
+                    f"dictionary: {exc}"
+                ) from None
             column = sum(d for (p, _), d in row.hodge.items() if p == P)
             if total != column:
                 raise AssertionError(

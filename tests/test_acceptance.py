@@ -68,10 +68,10 @@ def oracle_run():
                 cx.verify_chain_property()
                 cx.verify_monomial_grading()
             except AssertionError as exc:
-                chain_failures.append((spec.describe(), P, str(exc)))
+                chain_failures.append((spec, P, str(exc)))
             for key, monos in homology(cx).sorted_cells():
                 merged[key] = monos
-        matches.append((spec.describe(), merged, dict(closed.sorted_cells())))
+        matches.append((spec, merged, dict(closed.sorted_cells())))
     return matches, chain_failures
 
 
@@ -79,8 +79,8 @@ def test_criterion_1_oracle_equivalence(oracle_run):
     with criterion(1, "oracle equals closed form (n<=3, m_i<=2, every P)"):
         matches, _ = oracle_run
         assert len(matches) == 3 + 9 + 27
-        for described, merged, want in matches:
-            assert merged == want, described
+        for spec, merged, want in matches:
+            assert merged == want, spec
 
 
 def test_criterion_2_chain_property_and_grading(oracle_run):
@@ -168,7 +168,7 @@ def test_criterion_6_euler_ih_crosscheck():
         ran = 0
         for spec, inv in table_sweep():
             report = check_euler_ih(spec, inv)
-            assert report.ok, (spec.describe(), inv.describe())
+            assert report.ok, (spec, inv)
             ran += 1
         assert ran > 50
 

@@ -386,7 +386,7 @@ class TestExitCodes:
 
 
 class TestTextAndLatexGolden:
-    """Text and LaTeX renderings, pinned byte for byte."""
+    """Text and LaTeX renderings, and one JSON table, pinned byte for byte."""
 
     CASES = [
         (
@@ -400,13 +400,24 @@ class TestTextAndLatexGolden:
         ),
     ]
 
+    # n = 4 with m = (2, 1, 1, 3) has Gr_F pieces that mix subset sizes, so
+    # this file pins the order of the labels within a piece
+    JSON_CASES = [
+        (
+            ["table", "--n", "4", "--m", "2,1,1,3", "--cusps", "2", "--genus", "1",
+             "--format", "json"],
+            "table_n4_m2113_h2_g1.json",
+        ),
+    ]
+
     @pytest.mark.parametrize(
         "argv, golden",
         [
             (argv + ["--format", fmt], f"{stem}.{suffix}")
             for argv, stem in CASES
             for fmt, suffix in (("text", "txt"), ("latex", "tex"))
-        ],
+        ]
+        + JSON_CASES,
     )
     def test_byte_identical(self, capsys, argv, golden):
         code, out, err = run(capsys, *argv)

@@ -76,7 +76,8 @@ class TestClosedForm:
                 counts = weight_counts(m)
                 for P, N in enumerate(counts):
                     total = sum(
-                        matrix.cardinality(P, l) for l in range(n + 1)
+                        sum(matrix.cells.get((P, l), {}).values())
+                        for l in range(n + 1)
                     )
                     assert total == N
 

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from hilbert_hodge import (
     BadDegree,
@@ -11,7 +10,6 @@ from hilbert_hodge import (
     SheafCohomologyLabel,
     TrivialSystem,
     VarietyInvariants,
-    monomial_mul,
     validate_spec,
 )
 
@@ -63,47 +61,17 @@ class TestValidateSpec:
 
 
 class TestMonomials:
-    def test_product_adds_exponents(self):
-        a = LineBundleMonomial((3, 0))
-        b = LineBundleMonomial((-1, 2))
-        assert (a * b).exponents == (2, 2)
-
-    def test_identity(self):
-        a = LineBundleMonomial((1, 1))
-        assert a * LineBundleMonomial.identity(2) == a
-
-    def test_inverse(self):
-        a = LineBundleMonomial((0, 2, -2))
-        b = LineBundleMonomial((0, -2, 2))
-        assert (a * b) == LineBundleMonomial.identity(3)
-
-    def test_rank_mismatch(self):
-        with pytest.raises(IncompatibleRank):
-            monomial_mul(LineBundleMonomial((1,)), LineBundleMonomial((1, 2)))
+    def test_concat_juxtaposes_exponents(self):
+        a = LineBundleMonomial((3, -1), minus_S=True)
+        b = LineBundleMonomial((2,))
+        # a single twist survives concatenation, on either side
+        assert a.concat(b) == LineBundleMonomial((3, -1, 2), minus_S=True)
+        assert b.concat(a) == LineBundleMonomial((2, 3, -1), minus_S=True)
 
     def test_double_twist(self):
         a = LineBundleMonomial((1,), minus_S=True)
         with pytest.raises(DoubleTwist):
-            monomial_mul(a, a)
-        # a single twist survives multiplication
-        b = LineBundleMonomial((2,))
-        assert (a * b).minus_S
-
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.tuples(
-                *(
-                    st.tuples(*(st.integers(-4, 4) for _ in range(n)))
-                    for _ in range(3)
-                )
-            )
-        )
-    )
-    def test_commutative_associative_with_identity(self, triple):
-        x, y, z = (LineBundleMonomial(e) for e in triple)
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
-        assert x * LineBundleMonomial.identity(x.n) == x
+            a.concat(LineBundleMonomial((2, 0), minus_S=True))
 
     def test_str_forms(self):
         assert str(LineBundleMonomial((3, -1))) == "L1^3 L2^-1"

@@ -81,3 +81,39 @@ def test_verify_records_a_broken_dimension_dictionary(flags):
         "FAIL table_assembly [n=2 m=(1, 1) g=1 h=1]: lhs=Gr_F^4 of H^2 resolves "
         "to 10 but the Hodge numbers give 9 rhs=" in failures
     )
+
+
+# a miss inside a piece the dictionary covers is a failure, not a skip
+MISS_ONE_DICTIONARY_ENTRY = (
+    "from hilbert_hodge import tables\n"
+    "from hilbert_hodge.errors import DictionaryMiss\n"
+    "original = tables.sheaf_cohomology_dim\n"
+    "def missing(label, spec, inv):\n"
+    "    if label.degree == 0 and label.monomial.exponents == (3, 3):\n"
+    "        raise DictionaryMiss(f'forced miss for {label}')\n"
+    "    return original(label, spec, inv)\n"
+    "tables.sheaf_cohomology_dim = missing\n"
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_verify_records_a_miss_in_a_covered_piece(flags):
+    done = run_python(
+        MISS_ONE_DICTIONARY_ENTRY
+        + "import sys\n"
+        "from hilbert_hodge import cli\n"
+        "sys.exit(cli.main(['verify', '--max-n', '2', '--max-m', '1']))\n",
+        *flags,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ""
+    failures = [line for line in done.stdout.splitlines() if line.startswith("FAIL ")]
+    assert len(failures) == 12
+    assert all(
+        line.startswith("FAIL table_assembly [n=2 m=(1, 1) ") for line in failures
+    )
+    assert (
+        "FAIL table_assembly [n=2 m=(1, 1) g=1 h=1]: lhs=Gr_F^4 of H^2 is outside "
+        "the dimension dictionary: forced miss for H^0(Xbar, L1^3 L2^3) rhs="
+        in failures
+    )

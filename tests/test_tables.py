@@ -20,7 +20,7 @@ from hilbert_hodge import (
     validate_spec,
 )
 from hilbert_hodge.errors import BadDegree, TrivialSystem
-from hilbert_hodge.tables import gr_f_label_count
+from hilbert_hodge.tables import gr_F_label_rows, gr_f_label_count, in_dictionary
 
 
 def mono(*exps, minus_S=False):
@@ -92,6 +92,55 @@ class TestGrFLabels:
         )
         assert gr_f_label_count(n) == emitted
         assert emitted == sum(comb(n, l) * (2 * n + 1 - l) for l in range(n + 1))
+
+
+def default_sweep_specs():
+    """Every non-trivial system of the default ``verify`` sweep."""
+    for n in (2, 3, 4):
+        for m in product(range(4), repeat=n):
+            if any(m):
+                yield validate_spec(n, m, table=True)
+
+
+# the two systems of the table-wide benchmark
+WIDE_SPECS = [
+    validate_spec(12, (3,) * 12, table=True),
+    validate_spec(11, (1, 1, 2, 3, 0, 0, 3, 2, 1, 1, 3), table=True),
+]
+
+
+class TestLabelRows:
+    @pytest.mark.parametrize("wide", [False, True], ids=["default-sweep", "wide"])
+    def test_pieces_sorted_and_shared_list_matches(self, wide):
+        specs = WIDE_SPECS if wide else list(default_sweep_specs())
+        for spec in specs:
+            rows = gr_F_label_rows(spec)
+            assert len(rows) == 2 * spec.n + 1
+            for k, row in enumerate(rows):
+                for piece in row.values():
+                    assert piece == tuple(sorted(piece)), (spec, k)
+                assert row == gr_F_labels(spec, k), (spec, k)
+
+    def test_dictionary_covers_exactly_the_chosen_pieces(self):
+        inv = {n: VarietyInvariants(n, 2, 2) for n in (2, 3, 4)}
+        checked = 0
+        for spec in default_sweep_specs():
+            for k, row in enumerate(gr_F_label_rows(spec)):
+                for P, piece in row.items():
+                    resolves = []
+                    for lb in piece:
+                        try:
+                            sheaf_cohomology_dim(lb, spec, inv[spec.n])
+                        except DictionaryMiss:
+                            resolves.append(False)
+                        else:
+                            resolves.append(True)
+                    if in_dictionary(spec, k, P):
+                        assert all(resolves), (spec, k, P)
+                    else:
+                        assert not all(resolves), (spec, k, P)
+                    checked += 1
+        assert checked > 10_000
 
 
 class TestDimensionDictionary:
@@ -281,7 +330,7 @@ class TestMhsTable:
     @pytest.mark.parametrize("m", [(1, 1, 1), (2, 0, 1)])
     def test_shared_labels_build_the_same_table(self, m):
         spec = validate_spec(3, m, table=True)
-        labels = [gr_F_labels(spec, k) for k in range(2 * spec.n + 1)]
+        labels = gr_F_label_rows(spec)
         built = 0
         for g, h in product((0, 1, 2, 3), (1, 2, 5)):
             try:
