@@ -38,7 +38,7 @@ from .serialize import (
     table_document,
     verify_document,
 )
-from .tables import eisenstein_data, gr_f_label_count, ih_table, mhs_table
+from .tables import eisenstein_data, gr_f_label_count, mhs_table
 
 FORMATS = ("text", "json", "latex")
 MODES = ("table", "sheaf-matrix", "eisenstein", "verify")
@@ -78,10 +78,17 @@ class RunConfig:
                 raise ConfigError(f"missing required setting --{name}")
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a bool and a float (even ``2.0``)."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _parse_m(value) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)):
         try:
-            return tuple(int(x) for x in value)
+            return tuple(_integer(x) for x in value)
         except (TypeError, ValueError):
             raise ConfigError(f"bad weight list {value!r}")
     try:
@@ -124,7 +131,7 @@ def resolve_config(args, mode: str) -> RunConfig:
         if value is None:
             return None
         try:
-            return int(value)
+            return _integer(value)
         except (TypeError, ValueError):
             raise ConfigError(f"setting {name} must be an integer, got {value!r}")
 
@@ -328,9 +335,7 @@ def _run_table(config: RunConfig) -> int:
     inv = _invariants_of(config, spec.n)
     _check_output_size(gr_f_label_count(spec.n), "Gr_F labels")
     mhs = mhs_table(spec, inv)
-    ih = ih_table(spec, inv)
-    eis = [eisenstein_data(spec, inv, k) for k in range(spec.n, 2 * spec.n)]
-    doc = table_document(spec, inv, mhs, ih, eis)
+    doc = table_document(spec, inv, mhs, mhs.ih, mhs.eis)
     _emit(doc, config.fmt, render_table_text, render_table_latex)
     return 0
 

@@ -18,6 +18,7 @@ golden-file round-trip tests rely on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii as _quote
 
 from .consistency import CheckReport, CheckResult
@@ -96,7 +97,7 @@ def ih_section(table: IhTable) -> dict:
     }
 
 
-def eis_rows(data: list[EisensteinDatum]) -> list[dict]:
+def eis_rows(data: Sequence[EisensteinDatum]) -> list[dict]:
     return [
         {
             "k": d.k,
@@ -140,7 +141,7 @@ def table_document(
     inv: VarietyInvariants,
     mhs: MhsTable,
     ih: IhTable,
-    eis: list[EisensteinDatum],
+    eis: Sequence[EisensteinDatum],
 ) -> dict:
     return {
         "spec": spec_section(spec),
@@ -233,21 +234,6 @@ def tables_from_document(
     )
     tables = doc["tables"]
 
-    mhs = MhsTable(spec, inv, mhs_field=tables["mhs_field"])
-    for row in tables["H"]:
-        mhs.rows[int(row["k"])] = MhsRow(
-            k=int(row["k"]),
-            dim=int(row["dim"]),
-            weights=tuple((w["weight"], w["dim"]) for w in row["weights"]),
-            hodge={(h["p"], h["q"]): h["dim"] for h in row["hodge"]},
-            splitting=(row["splitting"]["ih"], row["splitting"]["eis"]),
-            gr_f={
-                g["p"]: tuple(_label_from(lb) for lb in g["labels"])
-                for g in row["grF"]
-            },
-            note=row["note"],
-        )
-
     dims = [0] * len(tables["IH"]["rows"])
     for row in tables["IH"]["rows"]:
         dims[int(row["k"])] = int(row["dim"])
@@ -269,6 +255,20 @@ def tables_from_document(
         )
         for row in tables["Eis"]
     ]
+    mhs = MhsTable(spec, inv, ih, tuple(eis), mhs_field=tables["mhs_field"])
+    for row in tables["H"]:
+        mhs.rows[int(row["k"])] = MhsRow(
+            k=int(row["k"]),
+            dim=int(row["dim"]),
+            weights=tuple((w["weight"], w["dim"]) for w in row["weights"]),
+            hodge={(h["p"], h["q"]): h["dim"] for h in row["hodge"]},
+            splitting=(row["splitting"]["ih"], row["splitting"]["eis"]),
+            gr_f={
+                g["p"]: tuple(_label_from(lb) for lb in g["labels"])
+                for g in row["grF"]
+            },
+            note=row["note"],
+        )
     return spec, inv, mhs, ih, eis
 
 

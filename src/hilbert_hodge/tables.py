@@ -266,33 +266,32 @@ class MhsRow:
 
 @dataclass
 class MhsTable:
-    """The complete table, one :class:`MhsRow` per degree ``0..2n``.
-
-    ``mhs_field`` records whether the structure is defined over the
-    rationals (all weights equal) or only over the reals.
-    """
+    """The complete table, one :class:`MhsRow` per degree ``0..2n``, with
+    the IH table ``ih`` and the boundary data ``eis`` of degrees ``n..2n-1``
+    it is built from.  ``mhs_field`` records whether the structure is
+    defined over the rationals (all weights equal) or only over the reals."""
 
     spec: LocalSystemSpec
     inv: VarietyInvariants
+    ih: IhTable
+    eis: tuple[EisensteinDatum, ...]
     rows: dict[int, MhsRow] = field(default_factory=dict)
     mhs_field: str = "R"
-
-    @property
-    def middle(self) -> MhsRow:
-        return self.rows[self.spec.n]
 
 
 def mhs_table(
     spec: LocalSystemSpec, inv: VarietyInvariants, labels=None
 ) -> MhsTable:
-    """Assemble the full mixed-Hodge-structure table of the system.
+    """Assemble the full mixed-Hodge-structure table of the system from one
+    :func:`ih_table` and one :func:`eisenstein_data` per degree ``n..2n-1``.
     ``labels`` is ``gr_F_label_rows(spec)``; a sweep shares it per ``m``."""
     ih = ih_table(spec, inv)
     n = spec.n
+    eis = tuple(eisenstein_data(spec, inv, k) for k in range(n, 2 * n))
     if labels is None:
         labels = gr_F_label_rows(spec)
     w = spec.weight + n
-    table = MhsTable(spec, inv, mhs_field="Q" if spec.is_parallel else "R")
+    table = MhsTable(spec, inv, ih, eis, mhs_field="Q" if spec.is_parallel else "R")
 
     for k in range(2 * n + 1):
         gr_f = labels[k]
@@ -302,10 +301,9 @@ def mhs_table(
             )
             continue
 
-        eis = eisenstein_data(spec, inv, k)
         if k == n:
             ih_part = ih.middle_dim
-            eis_part = eis.dim
+            eis_part = eis[0].dim
             hodge = dict(ih.hodge)
             if eis_part:
                 # (w, w) cannot collide with a (P, w - P) entry since w >= 2
@@ -324,7 +322,7 @@ def mhs_table(
                 gr_f,
             )
         else:
-            dim = eis.dim
+            dim = eis[k - n].dim
             hodge = {(w, w): dim} if dim else {}
             weights = ((2 * w, dim),) if dim else ()
             note = NOTE_COMPUTED if dim else NOTE_VANISHES

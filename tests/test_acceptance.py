@@ -167,7 +167,7 @@ def test_criterion_6_euler_ih_crosscheck():
     with criterion(6, "Euler characteristic of IH vs constant-coefficient table"):
         ran = 0
         for spec, inv in table_sweep():
-            report = check_euler_ih(spec, inv)
+            report = check_euler_ih(ih_table(spec, inv))
             assert report.ok, (spec, inv)
             ran += 1
         assert ran > 50

@@ -1,12 +1,14 @@
 """CLI behavior: verbs, formats, config handling, exit codes."""
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from hilbert_hodge import cli
-from hilbert_hodge.consistency import CheckReport
+from hilbert_hodge import SweepBounds, cli, tables
+from hilbert_hodge.consistency import CheckReport, iter_table_inputs
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -373,6 +375,88 @@ class TestConfigFile:
         code, _, err = run(capsys, "table", "--config", str(cfg))
         assert code == 1
         assert "integer" in err
+
+    # a fraction or a bool is refused, not truncated or read as 0 or 1
+    @pytest.mark.parametrize(
+        "setting, value, message",
+        [
+            ("n", 2.9, "error: setting n must be an integer, got 2.9\n"),
+            ("cusps", True, "error: setting cusps must be an integer, got True\n"),
+            ("m", [1.7, 1], "error: bad weight list [1.7, 1]\n"),
+            ("m", [True, 1], "error: bad weight list [True, 1]\n"),
+        ],
+        ids=["n-fraction", "cusps-bool", "m-fraction", "m-bool"],
+    )
+    def test_non_integer_json_number_refused(
+        self, capsys, tmp_path, setting, value, message
+    ):
+        settings = {"n": 2, "m": [1, 1], "cusps": 1, "genus": 1, setting: value}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run(capsys, "table", "--config", str(cfg))
+        assert (code, out, err) == (1, "", message)
+
+    def test_integer_strings_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {"n": "2", "m": ["1", 1], "cusps": "1", "genus": 1, "format": "json"}
+            )
+        )
+        doc = run_json(capsys, "table", "--config", str(cfg))
+        assert doc["spec"] == {"n": 2, "m": [1, 1]}
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named ``tables`` functions per
+    ``(n, m, genus, cusps)``, wrapping each in every package module that
+    holds it, so a call counts whichever module its caller looks it up in."""
+    counts = {}
+    for name in names:
+        original = getattr(tables, name)
+        counts[name] = counter = Counter()
+
+        def counting(spec, inv, *rest, _original=original, _counter=counter):
+            _counter[spec.n, spec.m, inv.genus, inv.cusps] += 1
+            return _original(spec, inv, *rest)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] != "hilbert_hodge":
+                continue
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestOneAssemblyPerTable:
+    """Each table's IH table and boundary data are built once, by
+    ``mhs_table``, and reused by the checks and the document."""
+
+    def test_verify(self, capsys, monkeypatch):
+        counts = count_calls(monkeypatch, "ih_table", "eisenstein_data")
+        code, _, err = run(capsys, "verify", "--max-n", "3", "--max-m", "1")
+        assert code == 0, err
+        pairs = [
+            (spec.n, spec.m, inv.genus, inv.cusps)
+            for spec, inv in iter_table_inputs(SweepBounds(max_n=3, max_m=1))
+        ]
+        assert counts["ih_table"] == Counter(pairs)
+        assert counts["eisenstein_data"] == Counter(
+            {pair: pair[0] for pair in pairs}
+        )
+
+    def test_table(self, capsys, monkeypatch):
+        counts = count_calls(monkeypatch, "ih_table", "eisenstein_data")
+        code, _, err = run(
+            capsys, "table", "--n", "4", "--m", "2,2,2,2",
+            "--cusps", "2", "--genus", "1", "--format", "json",
+        )
+        assert code == 0, err
+        pair = (4, (2, 2, 2, 2), 1, 2)
+        assert counts == {
+            "ih_table": Counter({pair: 1}),
+            "eisenstein_data": Counter({pair: 4}),
+        }
 
 
 class TestExitCodes:

@@ -11,6 +11,8 @@ from hilbert_hodge import (
     check_hrr,
     check_oracle_equivalence,
     check_table_identities,
+    ih_table,
+    mhs_table,
     run_verification,
     validate_spec,
 )
@@ -70,21 +72,23 @@ class TestEulerIh:
     def test_n2_parallel_g1(self):
         spec = validate_spec(2, (1, 1))
         inv = VarietyInvariants(2, 1, 1)
-        report = check_euler_ih(spec, inv)
+        report = check_euler_ih(ih_table(spec, inv))
         (res,) = report.results
         assert res.status == "pass"
         # 32 on both sides: constant sum 1 + 6 + 1 = 8, rank 4
         assert res.lhs == res.rhs == "32"
 
     def test_n2_mixed_g0(self):
-        report = check_euler_ih(validate_spec(2, (1, 0)), VarietyInvariants(2, 1, 0))
+        report = check_euler_ih(
+            ih_table(validate_spec(2, (1, 0)), VarietyInvariants(2, 1, 0))
+        )
         (res,) = report.results
         assert res.status == "pass"
         assert res.lhs == "8"
 
     def test_n3_parallel_g2(self):
         report = check_euler_ih(
-            validate_spec(3, (1, 1, 1)), VarietyInvariants(3, 1, 2)
+            ih_table(validate_spec(3, (1, 1, 1)), VarietyInvariants(3, 1, 2))
         )
         (res,) = report.results
         assert res.status == "pass"
@@ -112,27 +116,31 @@ class TestHrr:
 
 
 class TestTableIdentities:
+    RECORDS = {"euler_ih", "hodge_symmetry"}
+
     def test_n2_parallel_split(self):
-        report = check_table_identities(
-            validate_spec(2, (1, 1)), VarietyInvariants(2, 1, 1)
-        )
-        by_name = {r.name: r for r in report.results}
-        assert by_name["table_splitting"].lhs == "33"
-        assert by_name["table_splitting"].rhs == "33"
+        spec, inv = validate_spec(2, (1, 1)), VarietyInvariants(2, 1, 1)
+        report = check_table_identities(spec, inv)
+        assert {r.name for r in report.results} == self.RECORDS
         assert report.ok
+        middle = mhs_table(spec, inv).rows[2]
+        assert middle.dim == 33
+        assert middle.splitting == (32, 1)
 
     def test_n2_mixed(self):
-        report = check_table_identities(
-            validate_spec(2, (1, 0)), VarietyInvariants(2, 3, 0)
-        )
-        by_name = {r.name: r for r in report.results}
-        assert by_name["table_splitting"].lhs == "8"
+        spec, inv = validate_spec(2, (1, 0)), VarietyInvariants(2, 3, 0)
+        report = check_table_identities(spec, inv)
+        assert {r.name for r in report.results} == self.RECORDS
         assert report.ok
+        middle = mhs_table(spec, inv).rows[2]
+        assert middle.dim == 8
+        assert middle.splitting == (8, 0)
 
     def test_n4_boundary(self):
         report = check_table_identities(
             validate_spec(4, (1, 1, 1, 1)), VarietyInvariants(4, 2, 0)
         )
+        assert {r.name for r in report.results} == self.RECORDS
         assert report.ok
 
 
@@ -233,7 +241,6 @@ class TestFullSweep:
         bounds = SweepBounds(max_n=3, max_m=1)
         want = check_oracle_equivalence(bounds).results
         for spec, inv in iter_table_inputs(bounds):
-            want += check_euler_ih(spec, inv).results
             want += check_hrr(spec, inv).results
             want += check_table_identities(spec, inv).results
         got = [

@@ -2,6 +2,7 @@
 bare ``assert``: each case runs in a fresh interpreter, optimized or, to
 show that ``-O`` changes nothing, plain."""
 
+import json
 import os
 import subprocess
 import sys
@@ -117,3 +118,43 @@ def test_verify_records_a_miss_in_a_covered_piece(flags):
         "the dimension dictionary: forced miss for H^0(Xbar, L1^3 L2^3) rhs="
         in failures
     )
+
+
+# one subset too many at P = 0: the middle Hodge numbers of every n = 2
+# table then sum to (2^n + 1) * D, not dim IH^n = 2^n * D
+BREAK_THE_IH_SUM = (
+    "from hilbert_hodge import tables\n"
+    "original = tables.weight_counts\n"
+    "def one_too_many(m):\n"
+    "    counts = original(m)\n"
+    "    return (counts[0] + 1,) + tuple(counts[1:])\n"
+    "tables.weight_counts = one_too_many\n"
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_verify_records_a_broken_ih_sum(flags):
+    done = run_python(
+        BREAK_THE_IH_SUM
+        + "import sys\n"
+        "from hilbert_hodge import cli\n"
+        "sys.exit(cli.main(['verify', '--max-n', '2', '--max-m', '1', "
+        "'--format', 'json']))\n",
+        *flags,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ""
+    checks = json.loads(done.stdout)["checks"]
+    failures = [c for c in checks if c["status"] == "fail"]
+    # m in {(0, 1), (1, 0), (1, 1)}, four genera, three cusp counts
+    assert len(failures) == 36
+    assert {(c["name"], c["lhs"]) for c in failures} == {
+        ("table_assembly", "middle Hodge numbers do not sum to dim IH^n")
+    }
+    # a pair whose table fails records hrr and that failure, nothing else
+    assert {c["name"] for c in checks if "g=" in c["params"]} == {
+        "hrr", "table_assembly"
+    }
+    subset_counts = [c for c in checks if c["name"].startswith("subset_count")]
+    assert len(subset_counts) == 9
+    assert all(c["status"] == "pass" for c in subset_counts)
