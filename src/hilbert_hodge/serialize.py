@@ -11,7 +11,9 @@ One envelope serves every CLI verb:
 Only the sections a verb produces are present.  Keys are emitted sorted and
 arrays are sorted by (k, p, q), so identical inputs give byte-identical
 output everywhere.  :func:`dump_json`, the package's own encoder, writes
-exactly what ``json.dumps(doc, sort_keys=True, indent=2)`` writes.
+exactly what ``json.dumps(doc, sort_keys=True, indent=2)`` writes; it
+encodes a list of flat same-keyed dicts column by column.  Documents are
+read-only: the labels of one monomial share one ``exponents`` list.
 :func:`tables_from_document` inverts the table part, which is what the
 golden-file round-trip tests rely on.
 """
@@ -19,7 +21,9 @@ golden-file round-trip tests rely on.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .consistency import CheckReport, CheckResult
 from .model import (
@@ -32,19 +36,8 @@ from .model import (
 from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable
 
 
-def _monomial_obj(mono: LineBundleMonomial) -> dict:
-    return {"exponents": list(mono.exponents), "minus_s": mono.minus_S}
-
-
 def _monomial_from(obj: dict) -> LineBundleMonomial:
     return LineBundleMonomial(tuple(obj["exponents"]), bool(obj["minus_s"]))
-
-
-def _label_obj(label: SheafCohomologyLabel) -> dict:
-    out = _monomial_obj(label.monomial)
-    out["degree"] = label.degree
-    out["restricted_to_s"] = label.restricted_to_S
-    return out
 
 
 def _label_from(obj: dict) -> SheafCohomologyLabel:
@@ -62,6 +55,9 @@ def invariants_section(inv: VarietyInvariants) -> dict:
 
 
 def mhs_rows(table: MhsTable) -> list[dict]:
+    """The ``H`` rows.  The labels of one monomial share one ``exponents``
+    list, 2^n lists in all, which must not be mutated."""
+    shared: dict[tuple[int, ...], list[int]] = {}
     rows = []
     for k in sorted(table.rows):
         row = table.rows[k]
@@ -79,7 +75,13 @@ def mhs_rows(table: MhsTable) -> list[dict]:
                 ],
                 "splitting": {"ih": row.splitting[0], "eis": row.splitting[1]},
                 "grF": [
-                    {"p": P, "labels": [_label_obj(lb) for lb in row.gr_f[P]]}
+                    {"p": P, "labels": [
+                        {"degree": lb.degree,
+                         "exponents": shared.get(e := lb.monomial.exponents)
+                         or shared.setdefault(e, list(e)),
+                         "minus_s": lb.monomial.minus_S,
+                         "restricted_to_s": lb.restricted_to_S}
+                        for lb in row.gr_f[P]]}
                     for P in sorted(row.gr_f)
                 ],
             }
@@ -117,7 +119,10 @@ def sheaf_matrix_rows(matrix: SheafMatrix) -> list[dict]:
         {
             "p": P,
             "l": l,
-            "monomials": [_monomial_obj(mono) for mono in monos],
+            "monomials": [
+                {"exponents": list(mono.exponents), "minus_s": mono.minus_S}
+                for mono in monos
+            ],
         }
         for (P, l), monos in matrix.sorted_cells()
     ]
@@ -188,22 +193,26 @@ def verify_document(report: CheckReport, bounds_desc: dict) -> dict:
 
 def dump_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline."""
-    return _encode(doc, "\n") + "\n"
+    return _encode(doc, "\n", {}) + "\n"
 
 
-def _encode(value, newline: str) -> str:
+_LITERALS = {True: "true", False: "false", None: "null"}
+_SLICE = 256  # list items per _records call: bounds the texts held at once
+
+
+def _encode(value, newline: str, texts: dict) -> str:
     """One value whose closing bracket starts at ``newline``; only dicts with
-    str keys, lists, str, int, bool and None are accepted.  The stdlib builds
-    a list of every token when ``indent`` is set; here each container joins
-    its items and drops them before adding its brackets, to save time and
-    peak memory."""
+    str keys, lists, str, int, bool and None are accepted.  Each container
+    joins its items into one string; a list goes by slices of ``_SLICE``
+    items, each through :func:`_records` if it can, else item by item.
+    ``texts`` is the int-list store of one :func:`dump_json` call."""
     cls = type(value)
     if cls is str:
         return _quote(value)
     if cls is int:
         return int.__repr__(value)
     if cls is bool or value is None:
-        return "null" if value is None else "true" if value else "false"
+        return _LITERALS[value]
     if (cls is list or cls is dict) and not value:
         return "[]" if cls is list else "{}"
     inner = newline + "  "
@@ -212,16 +221,62 @@ def _encode(value, newline: str) -> str:
         if set(map(type, value)) == {int}:
             body = sep.join(map(int.__repr__, value))
         else:
-            body = sep.join([_encode(item, inner) for item in value])
+            parts = (value[i : i + _SLICE] for i in range(0, len(value), _SLICE))
+            body = sep.join(
+                _records(part, inner, texts)
+                or sep.join([_encode(item, inner, texts) for item in part])
+                for part in parts
+            )
         return f"[{inner}{body}{newline}]"
     if cls is dict:
         if set(map(type, value)) != {str}:
             raise TypeError("JSON object keys must be str")
-        body = sep.join(
-            [f"{_quote(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())]
-        )
+        items = sorted(value.items())
+        body = sep.join([f"{_quote(k)}: {_encode(v, inner, texts)}" for k, v in items])
         return f"{{{inner}{body}{newline}}}"
     raise TypeError(f"cannot encode {cls.__name__} {value!r} as JSON")
+
+
+def _records(items: list, newline: str, texts: dict) -> str | None:
+    """List items at ``newline`` if all are dicts with the same str keys and
+    columns of str, of int, of bool or None, or of int lists; else None.
+    Each column is encoded in one call and each record is one ``%`` fill.
+    ``texts[newline]`` keeps the text of each int list (short, unlike other
+    lists) by ``id``, alive while the document is, to encode it once."""
+    if set(map(type, items)) != {dict} or set(
+        map(type, chain.from_iterable(items))
+    ) != {str}:
+        return None
+    keys = sorted(items[0])
+    if set(map(len, items)) != {len(keys)}:
+        return None
+    inner = newline + "  "
+    known = texts.setdefault(inner, {})
+    columns = []
+    for key in keys:
+        try:
+            column = list(map(itemgetter(key), items))
+        except KeyError:  # as many keys, but not the same ones
+            return None
+        kinds = set(map(type, column))
+        if kinds == {list}:
+            fresh = dict(zip(map(id, column), column))
+            for i in set(fresh).difference(known):
+                if not set(map(type, fresh[i])) <= {int}:
+                    return None
+                known[i] = _encode(fresh[i], inner, texts)
+            columns.append(map(known.__getitem__, map(id, column)))
+        elif kinds == {str}:
+            columns.append(map(_quote, column))
+        elif kinds == {int}:
+            columns.append(map(int.__repr__, column))
+        elif kinds <= {bool, type(None)}:
+            columns.append(map(_LITERALS.__getitem__, column))
+        else:
+            return None
+    fields = [_quote(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + inner + ("," + inner).join(fields) + newline + "}"
+    return ("," + newline).join(map(template.__mod__, zip(*columns)))
 
 
 def tables_from_document(

@@ -239,10 +239,7 @@ def eisenstein_data(
         alpha = tuple(m1 + 1 if i in members else m1 + 2 for i in range(1, n + 1))
         beta = tuple(1 if i in members else 0 for i in range(1, n + 1))
         basis.append((a, alpha, beta))
-    datum = EisensteinDatum(k, inv.cusps, tuple(basis))
-    if datum.dim != comb(n - 1, k - n) * inv.cusps:
-        raise AssertionError(f"boundary classes in degree {k} miscounted")
-    return datum
+    return EisensteinDatum(k, inv.cusps, tuple(basis))
 
 
 @dataclass
@@ -328,9 +325,6 @@ def mhs_table(
             note = NOTE_COMPUTED if dim else NOTE_VANISHES
             table.rows[k] = MhsRow(k, dim, weights, hodge, (0, dim), gr_f, note=note)
 
-    middle = table.rows[n]
-    if sum(middle.hodge.values()) != middle.dim:
-        raise AssertionError("middle Hodge numbers do not sum to dim H^n")
     _assert_gr_f_consistency(table)
     return table
 

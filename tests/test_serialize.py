@@ -92,12 +92,73 @@ _DOCUMENTS = st.recursive(
     ),
     max_leaves=40,
 )
+_KEYS = (
+    st.sampled_from(["%", "%s", "%%d", "{", "{0}", '"', "\u00e9", "\U0001f600"])
+    | _TEXT
+)
+_INT_LISTS = st.lists(
+    st.integers() | st.integers(-(2**70), -(2**64)) | st.integers(2**64, 2**70),
+    max_size=4,
+)
+# one kind per key: the record path's columns, a column mixing int and bool,
+# and columns it must leave to the item-by-item path
+_COLUMN_KINDS = st.sampled_from(
+    [_TEXT, st.integers(), st.booleans() | st.none(), st.integers() | st.booleans(),
+     _INT_LISTS, _SCALARS, _INT_LISTS | st.none(), _DOCUMENTS]
+)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_DOCUMENTS)
+@st.composite
+def _record_lists(draw):
+    """Records with the same keys: a few distinct ones repeated up to past
+    one slice, sharing their int-list objects, maybe one record with a key
+    renamed (as many keys, not the same), added or removed, and the whole
+    list at two depths."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=4, unique=True))
+    kinds = [draw(_COLUMN_KINDS) for _ in keys]
+    base = [
+        {k: draw(kind) for k, kind in zip(keys, kinds)}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    count = draw(st.sampled_from([1, 2, 255, 256, 257, 600]))
+    records = [dict(base[i % len(base)]) for i in range(count)]
+    odd = records[draw(st.integers(0, count - 1))]
+    change = draw(st.sampled_from(["none", "rename", "add", "remove"]))
+    if change != "none":
+        value = odd.pop(keys[0]) if change != "add" else None
+        if change != "remove":
+            odd[draw(_KEYS.filter(lambda k: k not in keys))] = value
+    return {"flat": records, "nested": [[records]]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS | _record_lists())
 def test_dump_json_is_the_stdlib_format(doc):
     assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_encodes_a_shared_int_list_per_depth():
+    shared = [1, -2]
+    doc = {"a": [{"x": shared}], "b": [[{"x": shared}, {"x": shared}]]}
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _exponent_lists(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from [item] if key == "exponents" else _exponent_lists(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _exponent_lists(item)
+
+
+def test_table_document_shares_exponent_lists():
+    n = 4
+    *_, doc = build_table_doc(n=n, m=(2, 1, 1, 3), h=2, g=1)
+    lists = list(_exponent_lists(doc))
+    assert len(lists) > 2**n
+    assert len({id(exponents) for exponents in lists}) == 2**n
+    assert json.loads(dump_json(doc)) == doc
 
 
 def test_dump_json_matches_the_stdlib_on_real_documents():
@@ -109,8 +170,10 @@ def test_dump_json_matches_the_stdlib_on_real_documents():
 
 @pytest.mark.parametrize(
     "doc",
-    [{"x": 1.5}, {"x": (1, 2)}, {1: "a"}, [{"a": 1, 2: "b"}]],
-    ids=["float", "tuple", "int-key", "mixed-keys"],
+    [{"x": 1.5}, {"x": (1, 2)}, {1: "a"}, [{"a": 1, 2: "b"}],
+     [{"a": 1}, {"a": 1.5}], [{"a": (1, 2)}], [{"a": [1, 1.5]}]],
+    ids=["float", "tuple", "int-key", "mixed-keys",
+         "record-float", "record-tuple", "record-float-in-list"],
 )
 def test_dump_json_refuses_what_documents_never_hold(doc):
     with pytest.raises(TypeError):
@@ -124,6 +187,9 @@ def test_dump_json_refuses_str_and_int_subclasses():
     class Count(int):
         pass
 
+    docs = [{Name("a"): 1}, [{"a": 1}, {Name("a"): 1}]]
     for value in (Name("a"), Count(1)):
+        docs += [{"x": value}, [{"x": value}], [{"x": [value]}]]
+    for doc in docs:
         with pytest.raises(TypeError):
-            dump_json({"x": value})
+            dump_json(doc)
