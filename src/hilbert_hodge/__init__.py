@@ -24,9 +24,6 @@ from .higgs import (
 from .kunneth import (
     cohomology_sheaf_closed_form,
     count_N,
-    kunneth_product,
-    single_factor_matrix,
-    unit_matrix,
     weight_counts,
 )
 from .model import (
@@ -100,12 +97,9 @@ __all__ = [
     "gr_F_labels",
     "homology",
     "ih_table",
-    "kunneth_product",
     "mhs_table",
     "run_verification",
     "sheaf_cohomology_dim",
-    "single_factor_matrix",
-    "unit_matrix",
     "validate_spec",
     "weight_counts",
 ]

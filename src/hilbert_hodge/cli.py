@@ -42,6 +42,7 @@ from .tables import eisenstein_data, gr_f_label_count, mhs_table
 
 FORMATS = ("text", "json", "latex")
 MODES = ("table", "sheaf-matrix", "eisenstein", "verify")
+CONFIG_KEYS = ("format", "n", "m", "cusps", "genus", "oracle_cap", "max_n", "max_m")
 # most labels (table), monomials (sheaf-matrix) or boundary classes
 # (eisenstein) one run may emit: this admits n <= 15 for table, n <= 19 for
 # sheaf-matrix and n <= 20 for eisenstein
@@ -92,7 +93,7 @@ def _parse_m(value) -> tuple[int, ...]:
         except (TypeError, ValueError):
             raise ConfigError(f"bad weight list {value!r}")
     try:
-        return tuple(int(part) for part in str(value).split(",") if part.strip() != "")
+        return tuple(int(part) for part in str(value).split(","))
     except ValueError:
         raise ConfigError(f"--m expects a comma-separated integer list, got {value!r}")
 
@@ -109,6 +110,9 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
+    unknown = ", ".join(repr(key) for key in sorted(set(cfg) - set(CONFIG_KEYS)))
+    if unknown:
+        raise ConfigError(f"config file names no setting {unknown}")
     return cfg
 
 

@@ -81,9 +81,6 @@ class CheckReport:
     def sorted_results(self) -> list[CheckResult]:
         return sorted(self.results, key=lambda r: (r.name, r.params))
 
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if r.status == "fail"]
-
 
 @dataclass(frozen=True)
 class SweepBounds:

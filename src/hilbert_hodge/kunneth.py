@@ -7,9 +7,9 @@ complex are direct sums of line bundles indexed by subsets ``I`` of
     C_I = prod_{i in I} L_i^{m_i + 2} * prod_{i not in I} L_i^{-m_i},
 
 and ``C_I`` sits in the cell ``(P, l) = (|m_I| + |I|, |I|)``.  The whole
-matrix is multiplicative: it is the Kunneth product of the ``n``
-single-factor matrices.  ``N(m, P)`` counts the subsets landing at a given
-``P`` and is the multiplicity pattern of the middle Hodge decomposition.
+matrix is the Kunneth product of the ``n`` single-factor matrices, which the
+tests build as an independent route to it.  ``N(m, P)`` counts the subsets
+landing at a given ``P``: the multiplicity pattern of the middle Hodge numbers.
 """
 
 from __future__ import annotations
@@ -19,11 +19,6 @@ from itertools import combinations
 
 from .errors import BadDegree
 from .model import LineBundleMonomial, LocalSystemSpec, SheafMatrix
-
-
-def unit_matrix() -> SheafMatrix:
-    """Empty-product unit: n = 0 with a single trivial monomial at (0, 0)."""
-    return SheafMatrix(0, (), {(0, 0): Counter({LineBundleMonomial(()): 1})})
 
 
 def subset_monomials(m):
@@ -53,28 +48,6 @@ def cohomology_sheaf_closed_form(spec: LocalSystemSpec) -> SheafMatrix:
     for P, l, mono in subset_monomials(spec.m):
         cells.setdefault((P, l), Counter())[mono] += 1
     return SheafMatrix(spec.n, spec.m, cells)
-
-
-def single_factor_matrix(mi: int) -> SheafMatrix:
-    """Sheaf matrix of one upper-half-plane factor of weight ``mi``."""
-    return cohomology_sheaf_closed_form(LocalSystemSpec(1, (mi,)))
-
-
-def kunneth_product(a: SheafMatrix, b: SheafMatrix) -> SheafMatrix:
-    """Kunneth product: convolve cells, juxtapose monomials.
-
-    The factors live over disjoint index sets, so exponent vectors are
-    concatenated in order.
-    """
-    cells: dict[tuple[int, int], dict] = {}
-    for (p1, l1), c1 in a.cells.items():
-        for (p2, l2), c2 in b.cells.items():
-            target = cells.setdefault((p1 + p2, l1 + l2), {})
-            for mono1, k1 in c1.items():
-                for mono2, k2 in c2.items():
-                    key = mono1.concat(mono2)
-                    target[key] = target.get(key, 0) + k1 * k2
-    return SheafMatrix(a.n + b.n, a.m + b.m, cells)
 
 
 def count_N(m, P: int) -> int:

@@ -12,7 +12,8 @@ container built from them:
   three integers.
 * :class:`LineBundleMonomial` -- a formal product ``L_1^{s_1} ... L_n^{s_n}``
   of the basic line bundles on the compactification, optionally twisted by
-  ``O(-S)`` where ``S`` is the boundary divisor.
+  ``O(-S)`` where ``S`` is the boundary divisor.  It is a named tuple
+  ``(exponents, minus_S)`` and equals the plain tuple of its fields.
 * :class:`SheafCohomologyLabel` -- a monomial together with a cohomological
   degree, i.e. the symbol ``H^k(Xbar, L_1^{s_1}...)``, with an optional
   restriction to ``S``.
@@ -30,6 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BadDegree,
@@ -40,25 +42,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class LineBundleMonomial:
+class LineBundleMonomial(NamedTuple):
     """Formal monomial ``prod_i L_i^{s_i}``, optionally twisted by ``O(-S)``.
 
-    The ordering (inherited from the exponent tuple, with the twist flag as a
-    tie-breaker) is the canonical one used to sort multisets of monomials.
+    A plain tuple ``(exponents, minus_S)``: it equals, hashes and sorts like
+    that tuple, so the canonical order of multisets of monomials is the
+    exponent order with the twist flag as a tie-breaker.
     """
 
     exponents: tuple[int, ...]
     minus_S: bool = False
-    # monomials are hashed millions of times in the sweeps; cache it
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.exponents, self.minus_S))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def concat(self, other: "LineBundleMonomial") -> "LineBundleMonomial":
         """Juxtapose two monomials over disjoint factor sets (Kunneth side)."""
@@ -275,7 +268,4 @@ class VarietyInvariants:
             raise IncompatibleRank(
                 f"spec has n = {spec.n} but invariants have n = {self.n}"
             )
-        d = (self.genus + (-1) ** self.n) * spec.rank
-        if d < 0:
-            raise AssertionError(f"negative dimension {d} of L2 sections")
-        return d
+        return (self.genus + (-1) ** self.n) * spec.rank

@@ -25,7 +25,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
-from .consistency import CheckReport, CheckResult
+from .consistency import CheckReport
 from .model import (
     LineBundleMonomial,
     LocalSystemSpec,
@@ -325,27 +325,3 @@ def tables_from_document(
             note=row["note"],
         )
     return spec, inv, mhs, ih, eis
-
-
-def sheaf_matrix_from_document(doc: dict) -> SheafMatrix:
-    """Rebuild a sheaf matrix from a sheaf-matrix document."""
-    from collections import Counter
-
-    spec = LocalSystemSpec(int(doc["spec"]["n"]), tuple(doc["spec"]["m"]))
-    cells: dict[tuple[int, int], Counter] = {}
-    for row in doc["tables"]["C"]:
-        counter = cells.setdefault((int(row["p"]), int(row["l"])), Counter())
-        for obj in row["monomials"]:
-            counter[_monomial_from(obj)] += 1
-    return SheafMatrix(spec.n, spec.m, cells)
-
-
-def report_from_document(doc: dict) -> CheckReport:
-    report = CheckReport()
-    for row in doc["checks"]:
-        report.results.append(
-            CheckResult(
-                row["name"], row["params"], row["status"], row["lhs"], row["rhs"]
-            )
-        )
-    return report

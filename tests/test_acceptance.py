@@ -27,13 +27,11 @@ from hilbert_hodge import (
     eisenstein_data,
     homology,
     ih_table,
-    kunneth_product,
     mhs_table,
-    single_factor_matrix,
-    unit_matrix,
     validate_spec,
     weight_counts,
 )
+from kunneth_reference import kunneth_product, single_factor_matrix, unit_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 

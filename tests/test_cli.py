@@ -344,11 +344,21 @@ class TestConfigFile:
         assert "--genus" in err
 
     def test_malformed_m(self, capsys):
-        code, _, err = run(
-            capsys, "table", "--n", "2", "--m", "1;1", "--cusps", "1", "--genus", "1"
-        )
-        assert code == 1
-        assert "comma-separated" in err
+        # an empty entry is refused, not dropped
+        for m in ("1;1", "1,,0", "1,1,"):
+            code, _, err = run(
+                capsys, "table", "--n", "2", "--m", m, "--cusps", "1", "--genus", "1"
+            )
+            assert code == 1, m
+            assert "comma-separated" in err
+
+    def test_unknown_config_key_refused(self, capsys, tmp_path):
+        # a misspelt bound must not fall back to the default sweep
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"max-n": 2, "max_m": 1}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "'max-n'" in err
 
     def test_unreadable_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "--config", str(tmp_path / "absent.json"))

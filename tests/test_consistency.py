@@ -188,7 +188,7 @@ class TestReportMechanics:
         report.record("demo", "a=3", 5, 5)
         assert not report.ok
         assert report.counts() == (2, 1, 0)
-        assert [r.params for r in report.failures()] == ["a=2"]
+        assert [r.params for r in report.results if not r.ok] == ["a=2"]
 
     def test_sorted_results_deterministic(self):
         report = CheckReport()
@@ -208,7 +208,7 @@ class TestFullSweep:
     def test_small_bounds_pass(self):
         report = run_verification(SweepBounds(max_n=3, max_m=2))
         assert report.ok, [
-            (r.name, r.params, r.lhs, r.rhs) for r in report.failures()
+            (r.name, r.params, r.lhs, r.rhs) for r in report.results if not r.ok
         ][:5]
         passed, failed, skipped = report.counts()
         assert failed == 0
@@ -223,7 +223,7 @@ class TestFullSweep:
         assert bounds.cusps == (1, 2, 5)
         report = run_verification(bounds)
         assert report.ok, [
-            (r.name, r.params, r.lhs, r.rhs) for r in report.failures()
+            (r.name, r.params, r.lhs, r.rhs) for r in report.results if not r.ok
         ][:5]
 
     def test_subset_counts_once_per_system(self):

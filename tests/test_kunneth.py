@@ -14,12 +14,10 @@ from hilbert_hodge import (
     LineBundleMonomial,
     cohomology_sheaf_closed_form,
     count_N,
-    kunneth_product,
-    single_factor_matrix,
-    unit_matrix,
     validate_spec,
     weight_counts,
 )
+from kunneth_reference import kunneth_product, single_factor_matrix, unit_matrix
 
 
 def mono(*exps):

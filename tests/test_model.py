@@ -78,6 +78,28 @@ class TestMonomials:
         assert str(LineBundleMonomial((0, 0))) == "1"
         assert str(LineBundleMonomial((2, 2), minus_S=True)) == "O(-S) L1^2 L2^2"
 
+    def test_value_semantics(self):
+        # a monomial is the plain tuple (exponents, minus_S)
+        a = LineBundleMonomial((3, -1))
+        twisted = LineBundleMonomial((3, -1), minus_S=True)
+        assert a == ((3, -1), False) and hash(a) == hash(((3, -1), False))
+        assert twisted == ((3, -1), True)
+        assert hash(twisted) == hash(((3, -1), True))
+        assert a != twisted
+        # exponents first, the twist breaks ties
+        monos = [twisted, LineBundleMonomial((-1, 3), True), a,
+                 LineBundleMonomial((-1, 3))]
+        assert sorted(monos) == [monos[3], monos[1], a, twisted]
+        assert repr(twisted) == "LineBundleMonomial(exponents=(3, -1), minus_S=True)"
+        assert str(twisted) == "O(-S) L1^3 L2^-1"
+        assert a.latex() == "\\mathcal{L}_{1}^{3}\\mathcal{L}_{2}^{-1}"
+        assert twisted.latex() == (
+            "\\mathcal{O}(-S)\\otimes \\mathcal{L}_{1}^{3}\\mathcal{L}_{2}^{-1}"
+        )
+        assert LineBundleMonomial((0, 0)).latex() == "\\mathcal{O}"
+        with pytest.raises(AttributeError):
+            a.minus_S = True
+
 
 class TestLabels:
     def test_restriction_and_twist_exclusive(self):

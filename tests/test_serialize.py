@@ -1,4 +1,4 @@
-"""Documents round-trip through the package's own deserializer, and the
+"""Table documents round-trip through the package's own deserializer, and the
 package's encoder writes exactly what the stdlib's ``json.dumps`` writes."""
 
 import json
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from hilbert_hodge import (
     VarietyInvariants,
-    cohomology_sheaf_closed_form,
     eisenstein_data,
     ih_table,
     mhs_table,
@@ -17,9 +16,6 @@ from hilbert_hodge import (
 from hilbert_hodge.consistency import SweepBounds, run_verification
 from hilbert_hodge.serialize import (
     dump_json,
-    report_from_document,
-    sheaf_matrix_document,
-    sheaf_matrix_from_document,
     table_document,
     tables_from_document,
     verify_document,
@@ -51,21 +47,6 @@ def test_table_document_round_trip_non_parallel():
     _, _, mhs, ih, eis, doc = build_table_doc(m=(2, 1), g=0, h=3)
     spec2, inv2, mhs2, ih2, eis2 = tables_from_document(json.loads(dump_json(doc)))
     assert mhs2 == mhs and ih2 == ih and eis2 == eis
-
-
-def test_sheaf_matrix_round_trip():
-    spec = validate_spec(3, (1, 0, 2))
-    matrix = cohomology_sheaf_closed_form(spec)
-    doc = json.loads(dump_json(sheaf_matrix_document(spec, matrix)))
-    assert sheaf_matrix_from_document(doc) == matrix
-
-
-def test_report_round_trip():
-    report = run_verification(SweepBounds(max_n=2, max_m=1))
-    doc = json.loads(dump_json(verify_document(report, {"max_n": 2, "max_m": 1})))
-    reloaded = report_from_document(doc)
-    assert reloaded.sorted_results() == report.sorted_results()
-    assert doc["summary"]["ok"] is True
 
 
 def test_dump_json_is_deterministic():
