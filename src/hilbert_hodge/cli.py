@@ -47,6 +47,9 @@ CONFIG_KEYS = ("format", "n", "m", "cusps", "genus", "oracle_cap", "max_n", "max
 # (eisenstein) one run may emit: this admits n <= 15 for table, n <= 19 for
 # sheaf-matrix and n <= 20 for eisenstein
 OUTPUT_BUDGET = 10**6
+# characters per write to stdout, 1 MiB of the ASCII output: the stream then
+# never encodes a second copy of a large output at once
+_WRITE_SLICE = 2**20
 
 
 @dataclass(frozen=True)
@@ -172,12 +175,10 @@ def _check_output_size(count: int, what: str) -> None:
 
 
 def _emit(doc: dict, fmt: str, text_renderer, latex_renderer) -> None:
-    if fmt == "json":
-        sys.stdout.write(dump_json(doc))
-    elif fmt == "latex":
-        sys.stdout.write(latex_renderer(doc))
-    else:
-        sys.stdout.write(text_renderer(doc))
+    render = {"json": dump_json, "latex": latex_renderer}.get(fmt, text_renderer)
+    text = render(doc)
+    for start in range(0, len(text), _WRITE_SLICE):
+        sys.stdout.write(text[start : start + _WRITE_SLICE])
 
 
 # ---------------------------------------------------------------- rendering

@@ -53,14 +53,6 @@ class LineBundleMonomial(NamedTuple):
     exponents: tuple[int, ...]
     minus_S: bool = False
 
-    def concat(self, other: "LineBundleMonomial") -> "LineBundleMonomial":
-        """Juxtapose two monomials over disjoint factor sets (Kunneth side)."""
-        if self.minus_S and other.minus_S:
-            raise DoubleTwist("cannot concatenate two O(-S)-twisted monomials")
-        return LineBundleMonomial(
-            self.exponents + other.exponents, minus_S=self.minus_S or other.minus_S
-        )
-
     def __str__(self) -> str:
         parts = [f"L{i + 1}^{s}" for i, s in enumerate(self.exponents) if s != 0]
         body = " ".join(parts) if parts else "1"

@@ -10,10 +10,10 @@ One envelope serves every CLI verb:
 
 Only the sections a verb produces are present.  Keys are emitted sorted and
 arrays are sorted by (k, p, q), so identical inputs give byte-identical
-output everywhere.  :func:`dump_json`, the package's own encoder, writes
-exactly what ``json.dumps(doc, sort_keys=True, indent=2)`` writes; it
-encodes a list of flat same-keyed dicts column by column.  Documents are
-read-only: the labels of one monomial share one ``exponents`` list.
+output everywhere.  :func:`dump_json`, the package's own encoder, joins
+pieces once into exactly what ``json.dumps(doc, sort_keys=True, indent=2)``
+writes, taking a list of flat same-keyed dicts column by column.  Documents
+are read-only: the labels of one monomial share one ``exponents`` list.
 :func:`tables_from_document` inverts the table part, which is what the
 golden-file round-trip tests rely on.
 """
@@ -193,48 +193,68 @@ def verify_document(report: CheckReport, bounds_desc: dict) -> dict:
 
 def dump_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline."""
-    return _encode(doc, "\n", {}) + "\n"
+    pieces: list[str] = []
+    _encode(doc, "\n", {}, pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
 _SLICE = 256  # list items per _records call: bounds the texts held at once
 
 
-def _encode(value, newline: str, texts: dict) -> str:
-    """One value whose closing bracket starts at ``newline``; only dicts with
-    str keys, lists, str, int, bool and None are accepted.  Each container
-    joins its items into one string; a list goes by slices of ``_SLICE``
-    items, each through :func:`_records` if it can, else item by item.
+def _ints(value: list, newline: str) -> str:
+    """An int list whose closing bracket starts at ``newline``."""
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]"
+
+
+def _encode(value, newline: str, texts: dict, write) -> None:
+    """Hand one value whose closing bracket starts at ``newline`` to ``write``
+    in pieces, joining no container's text; only dicts with str keys, lists,
+    str, int, bool and None are accepted.  A list goes by slices of ``_SLICE``
+    items, each one piece from :func:`_records` if it can, else item by item.
     ``texts`` is the int-list store of one :func:`dump_json` call."""
     cls = type(value)
     if cls is str:
-        return _quote(value)
-    if cls is int:
-        return int.__repr__(value)
-    if cls is bool or value is None:
-        return _LITERALS[value]
-    if (cls is list or cls is dict) and not value:
-        return "[]" if cls is list else "{}"
-    inner = newline + "  "
-    sep = "," + inner
-    if cls is list:
-        if set(map(type, value)) == {int}:
-            body = sep.join(map(int.__repr__, value))
-        else:
-            parts = (value[i : i + _SLICE] for i in range(0, len(value), _SLICE))
-            body = sep.join(
-                _records(part, inner, texts)
-                or sep.join([_encode(item, inner, texts) for item in part])
-                for part in parts
-            )
-        return f"[{inner}{body}{newline}]"
-    if cls is dict:
+        write(_quote(value))
+    elif cls is int:
+        write(int.__repr__(value))
+    elif cls is bool or value is None:
+        write(_LITERALS[value])
+    elif cls is list and (not value or set(map(type, value)) == {int}):
+        write(_ints(value, newline))
+    elif cls is list:
+        inner = newline + "  "
+        sep = "[" + inner
+        for i in range(0, len(value), _SLICE):
+            part = value[i : i + _SLICE]
+            text = _records(part, inner, texts)
+            if text is not None:
+                write(sep + text)
+            else:
+                for item in part:
+                    write(sep)
+                    _encode(item, inner, texts, write)
+                    sep = "," + inner
+            sep = "," + inner
+        write(newline + "]")
+    elif cls is dict and not value:
+        write("{}")
+    elif cls is dict:
         if set(map(type, value)) != {str}:
             raise TypeError("JSON object keys must be str")
-        items = sorted(value.items())
-        body = sep.join([f"{_quote(k)}: {_encode(v, inner, texts)}" for k, v in items])
-        return f"{{{inner}{body}{newline}}}"
-    raise TypeError(f"cannot encode {cls.__name__} {value!r} as JSON")
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            write(f"{sep}{_quote(key)}: ")
+            _encode(item, inner, texts, write)
+            sep = "," + inner
+        write(newline + "}")
+    else:
+        raise TypeError(f"cannot encode {cls.__name__} {value!r} as JSON")
 
 
 def _records(items: list, newline: str, texts: dict) -> str | None:
@@ -264,7 +284,7 @@ def _records(items: list, newline: str, texts: dict) -> str | None:
             for i in set(fresh).difference(known):
                 if not set(map(type, fresh[i])) <= {int}:
                     return None
-                known[i] = _encode(fresh[i], inner, texts)
+                known[i] = _ints(fresh[i], inner)
             columns.append(map(known.__getitem__, map(id, column)))
         elif kinds == {str}:
             columns.append(map(_quote, column))

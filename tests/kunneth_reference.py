@@ -9,11 +9,19 @@ and compare it with :func:`hilbert_hodge.cohomology_sheaf_closed_form`.
 from collections import Counter
 
 from hilbert_hodge import (
+    DoubleTwist,
     LineBundleMonomial,
     SheafMatrix,
     cohomology_sheaf_closed_form,
     validate_spec,
 )
+
+
+def concat(a: LineBundleMonomial, b: LineBundleMonomial) -> LineBundleMonomial:
+    """Juxtapose two monomials over disjoint factor sets."""
+    if a.minus_S and b.minus_S:
+        raise DoubleTwist("cannot concatenate two O(-S)-twisted monomials")
+    return LineBundleMonomial(a.exponents + b.exponents, minus_S=a.minus_S or b.minus_S)
 
 
 def unit_matrix() -> SheafMatrix:
@@ -38,6 +46,6 @@ def kunneth_product(a: SheafMatrix, b: SheafMatrix) -> SheafMatrix:
             target = cells.setdefault((p1 + p2, l1 + l2), {})
             for mono1, k1 in c1.items():
                 for mono2, k2 in c2.items():
-                    key = mono1.concat(mono2)
+                    key = concat(mono1, mono2)
                     target[key] = target.get(key, 0) + k1 * k2
     return SheafMatrix(a.n + b.n, a.m + b.m, cells)

@@ -469,6 +469,47 @@ class TestOneAssemblyPerTable:
         }
 
 
+class TestSlicedWrite:
+    """``_emit`` writes exactly what ``dump_json`` or the renderer returns,
+    in slices of at most 1 MiB; this JSON table takes two."""
+
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+    @pytest.mark.parametrize(
+        "fmt, renderer",
+        [
+            ("json", "dump_json"),
+            ("text", "render_table_text"),
+            ("latex", "render_table_latex"),
+        ],
+    )
+    def test_writes_join_to_the_rendered_output(self, monkeypatch, fmt, renderer):
+        rendered = []
+        original = getattr(cli, renderer)
+
+        def recording(doc):
+            rendered.append(original(doc))
+            return rendered[-1]
+
+        monkeypatch.setattr(cli, renderer, recording)
+        stream = self.Recorder()
+        monkeypatch.setattr(sys, "stdout", stream)
+        argv = ["table", "--n", "8", "--m", ",".join(["1"] * 8), "--cusps", "2"]
+        assert cli.main(argv + ["--genus", "1", "--format", fmt]) == 0
+        assert len(rendered) == 1
+        assert "".join(stream.writes) == rendered[0]
+        assert max(map(len, stream.writes)) <= 2**20
+        if fmt == "json":
+            assert len(rendered[0].encode("utf-8")) == 1_270_273
+            assert len(stream.writes) == 2
+
+
 class TestExitCodes:
     def test_usage_error_is_one_not_two(self, capsys):
         assert cli.main(["bogus-verb"]) == 1

@@ -11,13 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbert_hodge import (
+    DoubleTwist,
     LineBundleMonomial,
     cohomology_sheaf_closed_form,
     count_N,
     validate_spec,
     weight_counts,
 )
-from kunneth_reference import kunneth_product, single_factor_matrix, unit_matrix
+from kunneth_reference import (
+    concat,
+    kunneth_product,
+    single_factor_matrix,
+    unit_matrix,
+)
 
 
 def mono(*exps):
@@ -78,6 +84,20 @@ class TestClosedForm:
                         for l in range(n + 1)
                     )
                     assert total == N
+
+
+class TestConcat:
+    def test_concat_juxtaposes_exponents(self):
+        a = LineBundleMonomial((3, -1), minus_S=True)
+        b = LineBundleMonomial((2,))
+        # a single twist survives concatenation, on either side
+        assert concat(a, b) == LineBundleMonomial((3, -1, 2), minus_S=True)
+        assert concat(b, a) == LineBundleMonomial((2, 3, -1), minus_S=True)
+
+    def test_double_twist(self):
+        a = LineBundleMonomial((1,), minus_S=True)
+        with pytest.raises(DoubleTwist):
+            concat(a, LineBundleMonomial((2, 0), minus_S=True))
 
 
 class TestKunnethProduct:

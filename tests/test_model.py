@@ -61,18 +61,6 @@ class TestValidateSpec:
 
 
 class TestMonomials:
-    def test_concat_juxtaposes_exponents(self):
-        a = LineBundleMonomial((3, -1), minus_S=True)
-        b = LineBundleMonomial((2,))
-        # a single twist survives concatenation, on either side
-        assert a.concat(b) == LineBundleMonomial((3, -1, 2), minus_S=True)
-        assert b.concat(a) == LineBundleMonomial((2, 3, -1), minus_S=True)
-
-    def test_double_twist(self):
-        a = LineBundleMonomial((1,), minus_S=True)
-        with pytest.raises(DoubleTwist):
-            a.concat(LineBundleMonomial((2, 0), minus_S=True))
-
     def test_str_forms(self):
         assert str(LineBundleMonomial((3, -1))) == "L1^3 L2^-1"
         assert str(LineBundleMonomial((0, 0))) == "1"

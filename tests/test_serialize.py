@@ -124,6 +124,18 @@ def test_dump_json_encodes_a_shared_int_list_per_depth():
     assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+def test_dump_json_joins_slices_that_took_different_paths(depth):
+    # slices of 256 items: records, item by item, records, item by item
+    flat = [{"k": i, "xs": [i, -i], "on": i % 2 == 0} for i in range(256)]
+    nested = [{"k": i, "sub": {"xs": [i]}} for i in range(256)]
+    value = flat + nested + flat + nested[:40]
+    doc = {"list": value}
+    for _ in range(depth - 1):
+        doc = {"list": [doc["list"]]}
+    assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _exponent_lists(value):
     if isinstance(value, dict):
         for key, item in value.items():
