@@ -21,7 +21,8 @@ m_i``), each with monomial ``prod_i L_i^{m_i - 2 s_i}`` and Hodge index
 ``P = |m| - sum(s)``.  In a block, factor ``i`` has at most two states
 ``(t_i, e_i)``: only ``(0, 1)`` if ``s_i = -1``, only ``(m_i, 0)`` if
 ``s_i = m_i``, else both, joined by the coefficient ``m_i - s_i``.  A block
-is the tensor product of these pieces and is built directly from them.
+is the tensor product of these pieces and is built directly from them; it
+keeps its own element counts and its differential in block-local indices.
 
 Ranks are taken per block by exact fraction-free elimination.  Homology
 comes back as a ``SheafMatrix``, the type of the closed form, but nothing
@@ -41,7 +42,7 @@ from math import comb, prod
 from operator import add
 
 from .errors import BadHodgeIndex, ConfigError, OracleSizeExceeded
-from .linalg import rank_from_sparse
+from .linalg import integer_matrix_rank
 from .model import LineBundleMonomial, LocalSystemSpec, SheafMatrix
 
 DEFAULT_ORACLE_CAP = 10**6
@@ -74,60 +75,82 @@ class HiggsBasisElement:
     t: tuple[int, ...]
     wedge: tuple[int, ...]
 
-    def block(self) -> tuple[int, ...]:
-        """The block ``s`` with ``s_i = t_i - [i in I]``."""
-        s = list(self.t)
-        for i in self.wedge:
-            s[i - 1] -= 1
-        return tuple(s)
-
     def monomial(self, m: tuple[int, ...]) -> LineBundleMonomial:
-        return LineBundleMonomial(tuple(mi - 2 * si for mi, si in zip(m, self.block())))
+        """``prod_i L_i^{m_i - 2 s_i}`` of the block ``s_i = t_i - [i in I]``."""
+        exponents = [mi - 2 * ti for mi, ti in zip(m, self.t)]
+        for i in self.wedge:
+            exponents[i - 1] += 2
+        return LineBundleMonomial(tuple(exponents))
+
+
+def _states(s: tuple[int, ...], m: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The states ``e_i`` of each factor of block ``s``, with ``t_i = s_i + e_i``."""
+    return [(1,) if si == -1 else (0,) if si == mi else (0, 1) for si, mi in zip(s, m)]
+
+
+def _element(s: tuple[int, ...], e) -> HiggsBasisElement:
+    """The basis element of block ``s`` in the states ``e``."""
+    wedge = tuple(i for i, ei in enumerate(e, 1) if ei)
+    return HiggsBasisElement(tuple(map(add, s, e)), wedge)
 
 
 @dataclass
 class HiggsChainComplex:
-    """One Hodge-index slice of the logarithmic Higgs complex.
+    """One Hodge-index slice of the logarithmic Higgs complex, block by block.
 
-    ``terms[l]`` is the ordered basis in form degree ``l`` and
-    ``differentials[l]`` the sparse integer matrix of ``d_l`` from degree
-    ``l`` to ``l + 1``, stored as ``{(target_index, source_index): coeff}``.
+    ``blocks[b]`` is ``(s, sizes)``: the block ``s`` and its number of basis
+    elements in each degree ``0..n``, blocks in lexicographic order of ``s``.
+    ``differentials[b]`` is the block's differential as
+    ``{(l, target, source): coeff}``, an entry of ``d_l`` whose indices are
+    local to the block's elements of degree ``l + 1`` and ``l``.
     """
 
     spec: LocalSystemSpec
     P: int
-    terms: tuple[tuple[HiggsBasisElement, ...], ...]
-    differentials: tuple[dict[tuple[int, int], int], ...]
+    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    differentials: tuple[dict[tuple[int, int, int], int], ...]
 
     @property
     def total_size(self) -> int:
-        return sum(len(term) for term in self.terms)
+        return sum(sum(sizes) for _, sizes in self.blocks)
+
+    @property
+    def terms(self) -> tuple[tuple[HiggsBasisElement, ...], ...]:
+        """The basis per degree, block after block, each block in the product
+        order of its states; built on demand, for tests and tracing only."""
+        terms: list[list[HiggsBasisElement]] = [[] for _ in range(self.spec.n + 1)]
+        for s, _ in self.blocks:
+            for e in product(*_states(s, self.spec.m)):
+                el = _element(s, e)
+                terms[len(el.wedge)].append(el)
+        return tuple(map(tuple, terms))
 
     def verify_chain_property(self) -> None:
-        """Assert d_{l+1} o d_l = 0 for every l."""
-        pairs = zip(self.differentials, self.differentials[1:])
-        for l, (d_low, d_high) in enumerate(pairs):
-            into: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-            for (mid, src), coeff in d_low.items():
-                into[mid].append((src, coeff))
-            composite: defaultdict[tuple[int, int], int] = defaultdict(int)
-            for (tgt, mid), c_high in d_high.items():
-                for src, c_low in into[mid]:
-                    composite[(tgt, src)] += c_high * c_low
+        """Assert d_{l+1} o d_l = 0 on every block, over every entry."""
+        for (s, sizes), d in zip(self.blocks, self.differentials):
+            # degree -> index -> the (source, coeff) entries that reach it
+            into = [defaultdict(list) for _ in sizes]
+            for (l, mid, src), coeff in d.items():
+                into[l + 1][mid].append((src, coeff))
+            composite: defaultdict[tuple, int] = defaultdict(int)
+            for (l, tgt, mid), c_high in d.items():
+                for src, c_low in into[l].get(mid, ()):
+                    composite[l - 1, tgt, src] += c_high * c_low
             bad = {k: v for k, v in composite.items() if v != 0}
             if bad:
-                raise AssertionError(f"d o d != 0 at degree {l} for P={self.P}: {bad}")
+                raise AssertionError(f"d o d != 0 in block s={s} for P={self.P}: {bad}")
 
     def verify_monomial_grading(self) -> None:
-        """Assert every differential entry connects identical monomials."""
-        blocks = [[el.block() for el in term] for term in self.terms]
-        for l, d in enumerate(self.differentials):
-            for (tgt, src), coeff in d.items():
-                if coeff and blocks[l][src] != blocks[l + 1][tgt]:
+        """Assert every differential entry lies inside its block, so that it
+        connects elements of one monomial: ``d_l`` maps the block's degree
+        ``l`` into its degree ``l + 1``."""
+        n = self.spec.n
+        for (s, sizes), d in zip(self.blocks, self.differentials):
+            for l, tgt, src in d:
+                if not (0 <= l < n and 0 <= src < sizes[l] and 0 <= tgt < sizes[l + 1]):
                     raise AssertionError(
-                        f"differential entry {(tgt, src)} at degree {l} maps "
-                        f"{self.terms[l][src].monomial(self.spec.m)} to "
-                        f"{self.terms[l + 1][tgt].monomial(self.spec.m)}"
+                        f"differential entry {(l, tgt, src)} leaves block s={s}, "
+                        f"whose sizes per degree are {sizes}"
                     )
 
 
@@ -176,87 +199,63 @@ def build_log_higgs_complex(
     factors = range(1, n + 1)
     # one wedge tuple per pattern e, shared by every element with that pattern
     wedge_of = {e: tuple(compress(factors, e)) for e in product((0, 1), repeat=n)}
-    terms: list[list[HiggsBasisElement]] = [[] for _ in factors] + [[]]
-    differentials: list[dict[tuple[int, int], int]] = [{} for _ in factors]
+    blocks, differentials = [], []
     for head in product(*(range(-1, mi + 1) for mi in m[:-1])):
         s = (*head, spec.weight - P - sum(head))
         if not -1 <= s[-1] <= m[-1]:
             continue
-        # the states e_i of factor i, with t_i = s_i + e_i
-        states = [
-            (1,) if si == -1 else (0,) if si == mi else (0, 1) for si, mi in zip(s, m)
-        ]
+        states = _states(s, m)
+        sizes = [0] * (n + 1)
         where = []  # position in the block -> (degree, index in it, wedge)
         for e in product(*states):
             wedge = wedge_of[e]
-            term = terms[len(wedge)]
-            where.append((len(wedge), len(term), wedge))
-            term.append(HiggsBasisElement(tuple(map(add, s, e)), wedge))
+            l = len(wedge)
+            where.append((l, sizes[l], wedge))
+            sizes[l] += 1
         # raising e_i from 0 to 1 moves steps[i] places in the block and
         # multiplies by m_i - s_i, signed by the wedge indices below i
         steps = [prod(map(len, states[i + 1 :])) for i in range(n)]
         free = [(i + 1, steps[i], m[i] - s[i]) for i in range(n) if len(states[i]) > 1]
+        d = {}
         for pos, (l, src, wedge) in enumerate(where):
             for i, step, coeff in free:
                 if i not in wedge:
                     sign = -1 if bisect(wedge, i) % 2 else 1
-                    differentials[l][(where[pos + step][1], src)] = sign * coeff
+                    d[l, where[pos + step][1], src] = sign * coeff
+        blocks.append((s, tuple(sizes)))
+        differentials.append(d)
 
-    return HiggsChainComplex(spec, P, tuple(map(tuple, terms)), tuple(differentials))
+    return HiggsChainComplex(spec, P, tuple(blocks), tuple(differentials))
 
 
 def homology(cx: HiggsChainComplex) -> SheafMatrix:
     """Homology of one complex, computed blockwise by exact integer rank:
     ``dim H^l = dim(term_l) - rank(d_l) - rank(d_{l-1})`` per block.  Each
-    element is placed in its block, keyed by its ``s``, once; one pass over
-    each differential then hands every entry to its block, and an entry
-    between two blocks raises ``AssertionError``."""
+    block's dense rows are filled straight from its differential, and each
+    block with homology is named by the monomial of its first element."""
     n, m = cx.spec.n, cx.spec.m
-    block_of: dict[tuple[int, ...], int] = {}
-    first: list[HiggsBasisElement] = []  # block -> its first element
-    sizes: list[list[int]] = []  # block -> number of its elements per degree
-    block: list[list[int]] = [[] for _ in cx.terms]  # degree -> element -> block
-    local: list[list[int]] = [[] for _ in cx.terms]  # position within the block
-    for l, term in enumerate(cx.terms):
-        for el in term:
-            b = block_of.setdefault(el.block(), len(sizes))
-            if b == len(sizes):
-                sizes.append([0] * (n + 1))
-                first.append(el)
-            block[l].append(b)
-            local[l].append(sizes[b][l])
-            sizes[b][l] += 1
-
-    # ranks[b][l + 1] is the rank of d_l on block b; d_{-1} and d_n are zero
-    ranks = [[0] * (n + 2) for _ in sizes]
-    for l, d in enumerate(cx.differentials):
-        entries: defaultdict[int, dict[tuple[int, int], int]] = defaultdict(dict)
-        for (tgt, src), coeff in d.items():
-            b = block[l][src]
-            if block[l + 1][tgt] != b:
-                raise AssertionError(f"entry {(tgt, src)} of d_{l} joins two blocks")
-            entries[b][(local[l + 1][tgt], local[l][src])] = coeff
-        for b, block_entries in entries.items():
-            ranks[b][l + 1] = rank_from_sparse(
-                block_entries, sizes[b][l + 1], sizes[b][l]
-            )
-
     cells: dict[tuple[int, int], Counter] = {}
-    for b, el in enumerate(first):
-        mono = el.monomial(m)
+    for (s, sizes), d in zip(cx.blocks, cx.differentials):
+        rows = [[[0] * sizes[l] for _ in range(sizes[l + 1])] for l in range(n)]
+        for (l, tgt, src), coeff in d.items():
+            rows[l][tgt][src] = coeff
+        # ranks[l + 1] is the rank of d_l (of d_{-1} and d_n: zero)
+        ranks = [0, *(integer_matrix_rank(r) if r and r[0] else 0 for r in rows), 0]
+        mono = None
         for l in range(n + 1):
-            dim = sizes[b][l] - ranks[b][l + 1] - ranks[b][l]
+            dim = sizes[l] - ranks[l + 1] - ranks[l]
             if dim < 0:
                 raise AssertionError("rank bookkeeping produced a negative dimension")
             if dim:
+                mono = mono or _element(s, [st[0] for st in _states(s, m)]).monomial(m)
                 cells.setdefault((cx.P, l), Counter())[mono] = dim
     return SheafMatrix(n, m, cells)
 
 
 def full_homology(spec: LocalSystemSpec, *, cap: int | None = None) -> SheafMatrix:
     """Homology of every Hodge-index slice, each checked for d o d = 0 first,
-    merged into one sheaf matrix.  ``homology`` itself refuses an entry that
-    leaves its block, so the grading needs no separate pass here."""
+    merged into one sheaf matrix.  Entries are stored per block, so the
+    grading needs no pass here; ``verify`` still checks their index ranges."""
     cells: dict[tuple[int, int], Counter] = {}
     for P in range(spec.weight + spec.n + 1):
         cx = build_log_higgs_complex(spec, P, cap=cap)

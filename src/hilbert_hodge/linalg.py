@@ -44,14 +44,3 @@ def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
             break
     return rank
 
-
-def rank_from_sparse(
-    entries: dict[tuple[int, int], int], n_rows: int, n_cols: int
-) -> int:
-    """Rank of a sparse matrix given as {(row, col): value}."""
-    if n_rows == 0 or n_cols == 0 or not entries:
-        return 0
-    m = [[0] * n_cols for _ in range(n_rows)]
-    for (i, j), v in entries.items():
-        m[i][j] = v
-    return integer_matrix_rank(m)

@@ -18,7 +18,7 @@ from hilbert_hodge import (
 )
 from hilbert_hodge import higgs
 from hilbert_hodge.higgs import HiggsBasisElement, default_oracle_cap, slice_size
-from hilbert_hodge.linalg import rank_from_sparse
+from hilbert_hodge.linalg import integer_matrix_rank
 
 
 def mono(*exps):
@@ -31,7 +31,9 @@ class TestSmallComplexes:
         cx = build_log_higgs_complex(spec, 1)
         assert cx.terms[0] == (HiggsBasisElement((0,), ()),)
         assert cx.terms[1] == (HiggsBasisElement((1,), (1,)),)
-        assert cx.differentials[0] == {(0, 0): 1}
+        # one block, s = (0,), with one element in each degree
+        assert cx.blocks == (((0,), (1, 1)),)
+        assert cx.differentials == ({(0, 0, 0): 1},)
         assert homology(cx).cells == {}
 
     def test_one_factor_bottom_slice(self):
@@ -39,7 +41,8 @@ class TestSmallComplexes:
         cx = build_log_higgs_complex(spec, 0)
         assert cx.terms[0] == (HiggsBasisElement((1,), ()),)
         assert cx.terms[1] == ()
-        assert cx.differentials[0] == {}
+        assert cx.blocks == (((1,), (1, 0)),)
+        assert cx.differentials == ({},)
         h = homology(cx)
         assert h.sorted_cells() == [((0, 0), [mono(-1)])]
 
@@ -56,8 +59,10 @@ class TestSmallComplexes:
             mono(1, 2),
         ]
         assert cx.terms[2] == (HiggsBasisElement((1, 0), (1, 2)),)
-        # d_1 = [0 1] in the ordered bases above
-        assert cx.differentials[1] == {(0, 1): 1}
+        # block (-1, 0) holds the first element of degree 1; block (0, -1)
+        # the second and the one of degree 2, joined by d_1 = [1]
+        assert cx.blocks == (((-1, 0), (0, 1, 0)), ((0, -1), (0, 1, 1)))
+        assert cx.differentials == ({}, {(1, 0, 0): 1})
         h = homology(cx)
         assert h.sorted_cells() == [((2, 1), [mono(3, 0)])]
 
@@ -152,12 +157,14 @@ class TestOracleCap:
                 assert slice_size(spec, P) == cx.total_size, (spec.m, P)
 
     def test_refused_before_any_basis_element_exists(self, monkeypatch):
-        class Unbuildable:
-            def __init__(self, *args):
-                raise AssertionError("a basis element was built")
+        def unbuildable(*args, **kwargs):
+            raise AssertionError("the block loop started")
 
-        monkeypatch.setattr(higgs, "HiggsBasisElement", Unbuildable)
+        # the block loop enumerates the blocks with higgs.product
+        monkeypatch.setattr(higgs, "product", unbuildable)
         spec = validate_spec(6, (3,) * 6)
+        with pytest.raises(AssertionError, match="the block loop started"):
+            build_log_higgs_complex(spec, 12)
         # the middle slice has 34,124 basis elements
         with pytest.raises(OracleSizeExceeded, match="34124 basis elements, cap is 10"):
             build_log_higgs_complex(spec, 12, cap=10)
@@ -177,15 +184,25 @@ class TestOracleCap:
         assert default_oracle_cap() == 10**6
 
 
-def cross_block_complex():
-    """A hand-built complex whose one entry joins two monomial blocks:
-    (t=(0,0), I={}) has monomial L1^1, (t=(0,0), I={2}) has L1^1 L2^2."""
+def out_of_block_complex():
+    """A hand-built complex whose one entry leaves its block: block
+    s = (0, 0) of n = 2, m = (1, 0) at P = 1 has one element in degree 1,
+    and the entry of d_0 targets a second one."""
     return HiggsChainComplex(
-        validate_spec(2, (1, 0)),
-        1,
-        ((HiggsBasisElement((0, 0), ()),), (HiggsBasisElement((0, 0), (2,)),), ()),
-        ({(0, 0): 1}, {}),
+        validate_spec(2, (1, 0)), 1, (((0, 0), (1, 1, 0)),), ({(0, 1, 0): 1},)
     )
+
+
+def global_entries(cx):
+    """Every entry of ``cx`` as ``{(source, target): coeff}``, its block-local
+    indices mapped to elements through the ``terms`` view."""
+    terms, offset, entries = cx.terms, [0] * (cx.spec.n + 1), {}
+    for (_, sizes), d in zip(cx.blocks, cx.differentials):
+        for (l, tgt, src), coeff in d.items():
+            source = terms[l][offset[l] + src]
+            entries[(source, terms[l + 1][offset[l + 1] + tgt])] = coeff
+        offset = [o + size for o, size in zip(offset, sizes)]
+    return entries
 
 
 def defining_complex(spec):
@@ -221,12 +238,7 @@ class TestDefiningFormula:
                 for l, term in enumerate(cx.terms):
                     assert len(set(term)) == len(term), (spec.m, P, l)
                     assert set(term) == elements[l], (spec.m, P, l)
-                built = {
-                    (cx.terms[l][src], cx.terms[l + 1][tgt]): coeff
-                    for l, d in enumerate(cx.differentials)
-                    for (tgt, src), coeff in d.items()
-                }
-                assert built == entries, (spec.m, P)
+                assert global_entries(cx) == entries, (spec.m, P)
 
 
 class TestIndependence:
@@ -235,33 +247,45 @@ class TestIndependence:
         assert any(build_log_higgs_complex(spec, 2).differentials)
         want = cohomology_sheaf_closed_form(spec).sorted_cells()
         assert full_homology(spec).sorted_cells() == want
-        monkeypatch.setattr(higgs, "rank_from_sparse", lambda entries, rows, cols: 0)
+        monkeypatch.setattr(higgs, "integer_matrix_rank", lambda rows: 0)
         assert full_homology(spec).sorted_cells() != want
 
     def test_grading_check_raises_on_an_entry_between_blocks(self):
-        with pytest.raises(AssertionError, match="maps L1\\^1 to L1\\^1 L2\\^2"):
-            cross_block_complex().verify_monomial_grading()
+        with pytest.raises(
+            AssertionError, match=r"entry \(0, 1, 0\) leaves block s=\(0, 0\)"
+        ):
+            out_of_block_complex().verify_monomial_grading()
+
+    def test_chain_check_raises_on_a_negated_entry(self):
+        spec = validate_spec(2, (1, 1))
+        cx = build_log_higgs_complex(spec, 2)
+        cx.verify_chain_property()
+        # block s = (0, 0) has two free factors, so d_1 o d_0 meets both paths
+        b = [s for s, _ in cx.blocks].index((0, 0))
+        key = next(iter(cx.differentials[b]))
+        cx.differentials[b][key] *= -1
+        with pytest.raises(AssertionError, match=r"in block s=\(0, 0\) for P=2:"):
+            cx.verify_chain_property()
 
 
 class TestBlockPass:
-    def test_entry_between_blocks_raises(self):
-        with pytest.raises(AssertionError, match="joins two blocks"):
-            homology(cross_block_complex())
-
     def test_cell_totals_match_unblocked_ranks(self):
+        # whole, unblocked d_l from the definition, ranked without the builder
         for spec in sweep_specs(3, 2):
-            for P in range(spec.weight + spec.n + 1):
-                cx = build_log_higgs_complex(spec, P)
-                ranks = [
-                    rank_from_sparse(d, len(cx.terms[l + 1]), len(cx.terms[l]))
-                    for l, d in enumerate(cx.differentials)
+            for P, (elements, entries) in defining_complex(spec).items():
+                basis = [{el: i for i, el in enumerate(sorted(t))} for t in elements]
+                rows = [
+                    [[0] * len(basis[l]) for _ in basis[l + 1]] for l in range(spec.n)
                 ]
-                ranks = [0, *ranks, 0]
+                for (source, target), coeff in entries.items():
+                    l = len(source.wedge)
+                    rows[l][basis[l + 1][target]][basis[l][source]] = coeff
+                ranks = [0, *map(integer_matrix_rank, rows), 0]
                 want = {
                     (P, l): len(term) - ranks[l + 1] - ranks[l]
-                    for l, term in enumerate(cx.terms)
+                    for l, term in enumerate(basis)
                 }
-                got = homology(cx)
+                got = homology(build_log_higgs_complex(spec, P))
                 have = {key: sum(got.cells.get(key, {}).values()) for key in want}
                 assert have == want, (spec.m, P)
 

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hilbert_hodge.linalg import integer_matrix_rank, rank_from_sparse
+from hilbert_hodge.linalg import integer_matrix_rank
 
 
 def rank_by_fractions(rows):
@@ -68,9 +68,3 @@ def test_low_rank_products():
         assert integer_matrix_rank(prod) <= k
         assert integer_matrix_rank(prod) == rank_by_fractions(prod)
 
-
-def test_sparse_wrapper():
-    entries = {(0, 1): 5, (2, 0): -3}
-    assert rank_from_sparse(entries, 3, 2) == 2
-    assert rank_from_sparse({}, 3, 2) == 0
-    assert rank_from_sparse({(0, 0): 1}, 1, 1) == 1

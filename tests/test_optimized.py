@@ -51,6 +51,21 @@ def test_full_homology_checks_the_chain_property():
     assert "forced chain failure" in done.stderr
 
 
+def test_chain_check_raises_on_a_negated_entry():
+    # block s = (0, 0) of n = 2, m = (1, 1) at P = 2 has two free factors
+    done = run_optimized(
+        "from hilbert_hodge import higgs, validate_spec\n"
+        "cx = higgs.build_log_higgs_complex(validate_spec(2, (1, 1)), 2)\n"
+        "cx.verify_chain_property()\n"
+        "d = cx.differentials[[s for s, _ in cx.blocks].index((0, 0))]\n"
+        "key = next(iter(d))\n"
+        "d[key] *= -1\n"
+        "cx.verify_chain_property()\n"
+    )
+    assert done.returncode != 0
+    assert "AssertionError: d o d != 0 in block s=(0, 0) for P=2:" in done.stderr
+
+
 def test_mhs_table_checks_the_dimension_dictionary():
     done = run_optimized(
         BREAK_ONE_DICTIONARY_ENTRY
