@@ -7,7 +7,6 @@ from .errors import (
     BadHodgeIndex,
     ConfigError,
     DictionaryMiss,
-    DoubleTwist,
     HilbertHodgeError,
     InconsistentInvariants,
     IncompatibleRank,
@@ -66,7 +65,6 @@ __all__ = [
     "CheckResult",
     "ConfigError",
     "DictionaryMiss",
-    "DoubleTwist",
     "EisensteinDatum",
     "HiggsBasisElement",
     "HiggsChainComplex",

@@ -6,7 +6,8 @@ class HilbertHodgeError(Exception):
 
 
 class BadDegree(HilbertHodgeError):
-    """Degree data out of range (n < 1, negative weights, length mismatch)."""
+    """Degree data out of range: n < 1 (n < 2 for a table or variety), a
+    negative weight, m of the wrong length, or n > 64 in subset counting."""
 
 
 class TrivialSystem(HilbertHodgeError):
@@ -18,11 +19,8 @@ class InconsistentInvariants(HilbertHodgeError):
 
 
 class IncompatibleRank(HilbertHodgeError):
-    """Monomials over a different number of line-bundle factors were combined."""
-
-
-class DoubleTwist(HilbertHodgeError):
-    """Both operands of a monomial product carry the O(-S) twist."""
+    """A local system and variety invariants of different dimension ``n``
+    were combined (:meth:`VarietyInvariants.l2_dim`)."""
 
 
 class BadHodgeIndex(HilbertHodgeError):
@@ -43,4 +41,4 @@ class DictionaryMiss(HilbertHodgeError):
 
 
 class ConfigError(HilbertHodgeError):
-    """Malformed CLI flags, config file, or environment override."""
+    """Malformed CLI flags or config file, or sweep bounds out of range."""

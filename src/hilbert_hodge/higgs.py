@@ -33,7 +33,6 @@ closed-form size, before anything is built.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -46,25 +45,13 @@ from .linalg import integer_matrix_rank
 from .model import LineBundleMonomial, LocalSystemSpec, SheafMatrix
 
 DEFAULT_ORACLE_CAP = 10**6
-ORACLE_CAP_ENV = "HILBERT_HODGE_ORACLE_CAP"
 
 
 def default_oracle_cap(cap: int | None = None) -> int:
-    """Basis-size cap for the oracle: ``cap`` if given, else the environment
-    override, else 10^6.  Whatever its source, the cap must be >= 1."""
-    source = "oracle_cap"
-    if cap is None:
-        raw = os.environ.get(ORACLE_CAP_ENV)
-        if raw is None:
-            return DEFAULT_ORACLE_CAP
-        source = ORACLE_CAP_ENV
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"{ORACLE_CAP_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"{source} must be >= 1, got {cap}")
-    return cap
+    """Basis-size cap for the oracle: ``cap`` if given, else 10^6; >= 1."""
+    if cap is not None and cap < 1:
+        raise ConfigError(f"oracle_cap must be >= 1, got {cap}")
+    return DEFAULT_ORACLE_CAP if cap is None else cap
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -183,8 +170,8 @@ def build_log_higgs_complex(
 
     and summands with coefficient zero (``t_i = m_i``) are omitted.  Blocks
     come in lexicographic order of ``s``, each in the product order of its
-    states.  A slice over the cap (default from the environment, else 10^6)
-    raises :class:`OracleSizeExceeded` before anything is built.
+    states.  A slice over the cap (default 10^6) raises
+    :class:`OracleSizeExceeded` before anything is built.
     """
     if not 0 <= P <= spec.weight + spec.n:
         raise BadHodgeIndex(

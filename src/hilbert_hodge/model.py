@@ -11,12 +11,11 @@ container built from them:
   compactification.  All geometry enters the dimension formulas through these
   three integers.
 * :class:`LineBundleMonomial` -- a formal product ``L_1^{s_1} ... L_n^{s_n}``
-  of the basic line bundles on the compactification, optionally twisted by
-  ``O(-S)`` where ``S`` is the boundary divisor.  It is a named tuple
-  ``(exponents, minus_S)`` and equals the plain tuple of its fields.
-* :class:`SheafCohomologyLabel` -- a monomial together with a cohomological
-  degree, i.e. the symbol ``H^k(Xbar, L_1^{s_1}...)``, with an optional
-  restriction to ``S``.
+  of the basic line bundles on the compactification.  It is a one-field
+  named tuple ``(exponents,)`` and equals the plain tuple of its field.
+* :class:`SheafCohomologyLabel` -- a cohomological degree together with a
+  monomial, i.e. the symbol ``H^k(Xbar, L_1^{s_1}...)``: the named tuple
+  ``(degree, monomial)``.
 * :class:`SheafMatrix` -- multisets of monomials indexed by cells
   ``(P, l)``: the shape of both the closed-form answer and the oracle's
   homology, so the two are compared as equal values of one type.
@@ -35,7 +34,6 @@ from typing import NamedTuple
 
 from .errors import (
     BadDegree,
-    DoubleTwist,
     InconsistentInvariants,
     IncompatibleRank,
     TrivialSystem,
@@ -43,20 +41,14 @@ from .errors import (
 
 
 class LineBundleMonomial(NamedTuple):
-    """Formal monomial ``prod_i L_i^{s_i}``, optionally twisted by ``O(-S)``.
-
-    A plain tuple ``(exponents, minus_S)``: it equals, hashes and sorts like
-    that tuple, so the canonical order of multisets of monomials is the
-    exponent order with the twist flag as a tie-breaker.
-    """
+    """Formal monomial ``prod_i L_i^{s_i}``: a plain tuple ``(exponents,)``
+    that equals, hashes and sorts like that tuple, by its exponents."""
 
     exponents: tuple[int, ...]
-    minus_S: bool = False
 
     def __str__(self) -> str:
         parts = [f"L{i + 1}^{s}" for i, s in enumerate(self.exponents) if s != 0]
-        body = " ".join(parts) if parts else "1"
-        return f"O(-S) {body}" if self.minus_S else body
+        return " ".join(parts) if parts else "1"
 
     def latex(self) -> str:
         parts = [
@@ -64,10 +56,7 @@ class LineBundleMonomial(NamedTuple):
             for i, s in enumerate(self.exponents)
             if s != 0
         ]
-        body = "".join(parts) if parts else "\\mathcal{O}"
-        if self.minus_S:
-            return f"\\mathcal{{O}}(-S)\\otimes {body}"
-        return body
+        return "".join(parts) if parts else "\\mathcal{O}"
 
 
 def _normalized(cells: dict) -> dict:
@@ -107,27 +96,14 @@ class SheafMatrix:
         ]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class SheafCohomologyLabel:
-    """The symbol ``H^degree(Xbar, monomial)``, or ``H^degree(S, monomial|_S)``
-    when ``restricted_to_S`` is set.
-
-    Restriction to ``S`` and the ``O(-S)`` twist exclude each other.
-    """
+class SheafCohomologyLabel(NamedTuple):
+    """The symbol ``H^degree(Xbar, monomial)``: a plain tuple
+    ``(degree, monomial)``, ordered by degree first."""
 
     degree: int
     monomial: LineBundleMonomial
-    restricted_to_S: bool = False
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise BadDegree(f"cohomological degree must be >= 0, got {self.degree}")
-        if self.restricted_to_S and self.monomial.minus_S:
-            raise DoubleTwist("a monomial restricted to S cannot carry O(-S)")
 
     def __str__(self) -> str:
-        if self.restricted_to_S:
-            return f"H^{self.degree}(S, {self.monomial}|_S)"
         return f"H^{self.degree}(Xbar, {self.monomial})"
 
 

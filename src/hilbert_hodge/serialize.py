@@ -16,6 +16,11 @@ writes, taking a list of flat same-keyed dicts column by column.  Documents
 are read-only: the labels of one monomial share one ``exponents`` list.
 :func:`tables_from_document` inverts the table part, which is what the
 golden-file round-trip tests rely on.
+
+The tables make no ``O(-S)`` twist and no restriction to ``S``; the
+``"minus_s"`` and ``"restricted_to_s"`` keys are kept, always ``false``, so
+that the format and every pinned output stay unchanged.  The reader refuses
+a record with either flag set, or a label of negative degree.
 """
 
 from __future__ import annotations
@@ -37,13 +42,16 @@ from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable
 
 
 def _monomial_from(obj: dict) -> LineBundleMonomial:
-    return LineBundleMonomial(tuple(obj["exponents"]), bool(obj["minus_s"]))
+    if obj["minus_s"] is not False:
+        raise ValueError(f"O(-S)-twisted monomials are not supported: {obj}")
+    return LineBundleMonomial(tuple(obj["exponents"]))
 
 
 def _label_from(obj: dict) -> SheafCohomologyLabel:
-    return SheafCohomologyLabel(
-        int(obj["degree"]), _monomial_from(obj), bool(obj["restricted_to_s"])
-    )
+    degree = int(obj["degree"])
+    if degree < 0 or obj["restricted_to_s"] is not False:
+        raise ValueError(f"not a label H^j(Xbar, C_I) with j >= 0: {obj}")
+    return SheafCohomologyLabel(degree, _monomial_from(obj))
 
 
 def spec_section(spec: LocalSystemSpec) -> dict:
@@ -76,12 +84,11 @@ def mhs_rows(table: MhsTable) -> list[dict]:
                 "splitting": {"ih": row.splitting[0], "eis": row.splitting[1]},
                 "grF": [
                     {"p": P, "labels": [
-                        {"degree": lb.degree,
-                         "exponents": shared.get(e := lb.monomial.exponents)
-                         or shared.setdefault(e, list(e)),
-                         "minus_s": lb.monomial.minus_S,
-                         "restricted_to_s": lb.restricted_to_S}
-                        for lb in row.gr_f[P]]}
+                        {"degree": j,
+                         "exponents": shared.get(e) or shared.setdefault(e, list(e)),
+                         "minus_s": False,
+                         "restricted_to_s": False}
+                        for j, (e,) in row.gr_f[P]]}
                     for P in sorted(row.gr_f)
                 ],
             }
@@ -120,7 +127,7 @@ def sheaf_matrix_rows(matrix: SheafMatrix) -> list[dict]:
             "p": P,
             "l": l,
             "monomials": [
-                {"exponents": list(mono.exponents), "minus_s": mono.minus_S}
+                {"exponents": list(mono.exponents), "minus_s": False}
                 for mono in monos
             ],
         }

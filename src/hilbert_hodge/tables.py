@@ -112,8 +112,6 @@ def sheaf_cohomology_dim(
 
     * ``H^j(Xbar, prod L_i^{m_i+2})`` is ``D + e`` for ``j = 0`` and
       ``binom(n-1, j) * e`` for ``0 < j < n``;
-    * ``H^0(Xbar, O(-S) prod L_i^{m_i+2})`` is ``D``;
-    * ``H^0(S, prod L_i^{m_i+2}|_S)`` is ``e``;
     * ``H^{n-|I|}(Xbar, C_I)`` is ``D`` for every proper subset ``I``;
     * ``H^j(Xbar, prod L_i^{-m_i})`` is ``0`` for ``j < n``.
 
@@ -130,16 +128,6 @@ def sheaf_cohomology_dim(
     exps = label.monomial.exponents
     if len(exps) != n:
         raise DictionaryMiss(f"label {label} has rank {len(exps)}, spec has n={n}")
-
-    if label.restricted_to_S:
-        if j == 0 and exps == plus_two:
-            return e
-        raise DictionaryMiss(f"no dictionary entry for {label}")
-
-    if label.monomial.minus_S:
-        if j == 0 and exps == plus_two:
-            return D
-        raise DictionaryMiss(f"no dictionary entry for {label}")
 
     if exps == plus_two:
         if j == 0:

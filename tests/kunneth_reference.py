@@ -9,7 +9,6 @@ and compare it with :func:`hilbert_hodge.cohomology_sheaf_closed_form`.
 from collections import Counter
 
 from hilbert_hodge import (
-    DoubleTwist,
     LineBundleMonomial,
     SheafMatrix,
     cohomology_sheaf_closed_form,
@@ -19,9 +18,7 @@ from hilbert_hodge import (
 
 def concat(a: LineBundleMonomial, b: LineBundleMonomial) -> LineBundleMonomial:
     """Juxtapose two monomials over disjoint factor sets."""
-    if a.minus_S and b.minus_S:
-        raise DoubleTwist("cannot concatenate two O(-S)-twisted monomials")
-    return LineBundleMonomial(a.exponents + b.exponents, minus_S=a.minus_S or b.minus_S)
+    return LineBundleMonomial(a.exponents + b.exponents)
 
 
 def unit_matrix() -> SheafMatrix:

@@ -254,12 +254,6 @@ class TestVerifyVerb:
             "n=2 m=(1, 1)": ("skip", "oracle cap refused 3 of 5 slices"),
         }
 
-    def test_env_cap_invalid_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "banana")
-        code, _, err = run(capsys, "verify", "--max-n", "2", "--max-m", "1")
-        assert code == 1
-        assert "HILBERT_HODGE_ORACLE_CAP" in err
-
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -273,12 +267,6 @@ class TestVerifyVerb:
         assert code == 1
         assert out == ""
         assert message in err
-
-    def test_env_cap_zero_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "0")
-        code, _, err = run(capsys, "verify", "--max-n", "2", "--max-m", "1")
-        assert code == 1
-        assert "HILBERT_HODGE_ORACLE_CAP must be >= 1" in err
 
     def test_latex_summary_balanced(self, capsys):
         code, out, _ = run(

@@ -17,7 +17,12 @@ from hilbert_hodge import (
     validate_spec,
 )
 from hilbert_hodge import consistency
-from hilbert_hodge.consistency import constant_coefficient_ih_dim, iter_table_inputs
+from hilbert_hodge.consistency import (
+    SWEEP_CUSPS,
+    SWEEP_GENERA,
+    constant_coefficient_ih_dim,
+    iter_table_inputs,
+)
 
 SUBSET_COUNT_FAMILIES = (
     "subset_count_sum", "subset_count_agreement", "subset_count_symmetry"
@@ -219,8 +224,8 @@ class TestFullSweep:
         # a build-breaking regression
         bounds = SweepBounds()
         assert (bounds.max_n, bounds.max_m) == (4, 3)
-        assert bounds.genera == (0, 1, 2, 3)
-        assert bounds.cusps == (1, 2, 5)
+        assert SWEEP_GENERA == (0, 1, 2, 3)
+        assert SWEEP_CUSPS == (1, 2, 5)
         report = run_verification(bounds)
         assert report.ok, [
             (r.name, r.params, r.lhs, r.rhs) for r in report.results if not r.ok

@@ -142,14 +142,6 @@ class TestOracleCap:
         with pytest.raises(OracleSizeExceeded):
             build_log_higgs_complex(spec, 4, cap=2)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "3")
-        assert default_oracle_cap() == 3
-        spec = validate_spec(2, (2, 2))
-        assert slice_size(spec, 4) > 3
-        with pytest.raises(OracleSizeExceeded):
-            build_log_higgs_complex(spec, 4)
-
     def test_closed_form_size_is_the_built_size(self):
         for spec in sweep_specs(4, 3):
             for P in range(spec.weight + spec.n + 1):
@@ -169,19 +161,13 @@ class TestOracleCap:
         with pytest.raises(OracleSizeExceeded, match="34124 basis elements, cap is 10"):
             build_log_higgs_complex(spec, 12, cap=10)
 
-    def test_env_invalid(self, monkeypatch):
+    def test_default(self):
         from hilbert_hodge import ConfigError
 
-        monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "many")
-        with pytest.raises(ConfigError):
-            default_oracle_cap()
-        monkeypatch.setenv("HILBERT_HODGE_ORACLE_CAP", "0")
-        with pytest.raises(ConfigError):
-            default_oracle_cap()
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("HILBERT_HODGE_ORACLE_CAP", raising=False)
         assert default_oracle_cap() == 10**6
+        assert default_oracle_cap(3) == 3
+        with pytest.raises(ConfigError, match="oracle_cap must be >= 1, got 0"):
+            default_oracle_cap(0)
 
 
 def out_of_block_complex():

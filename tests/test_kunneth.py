@@ -7,11 +7,9 @@ the direct construction."""
 from collections import Counter
 from itertools import combinations, product
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbert_hodge import (
-    DoubleTwist,
     LineBundleMonomial,
     cohomology_sheaf_closed_form,
     count_N,
@@ -88,16 +86,10 @@ class TestClosedForm:
 
 class TestConcat:
     def test_concat_juxtaposes_exponents(self):
-        a = LineBundleMonomial((3, -1), minus_S=True)
+        a = LineBundleMonomial((3, -1))
         b = LineBundleMonomial((2,))
-        # a single twist survives concatenation, on either side
-        assert concat(a, b) == LineBundleMonomial((3, -1, 2), minus_S=True)
-        assert concat(b, a) == LineBundleMonomial((2, 3, -1), minus_S=True)
-
-    def test_double_twist(self):
-        a = LineBundleMonomial((1,), minus_S=True)
-        with pytest.raises(DoubleTwist):
-            concat(a, LineBundleMonomial((2, 0), minus_S=True))
+        assert concat(a, b) == LineBundleMonomial((3, -1, 2))
+        assert concat(b, a) == LineBundleMonomial((2, 3, -1))
 
 
 class TestKunnethProduct:

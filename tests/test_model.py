@@ -2,7 +2,6 @@ import pytest
 
 from hilbert_hodge import (
     BadDegree,
-    DoubleTwist,
     InconsistentInvariants,
     IncompatibleRank,
     LineBundleMonomial,
@@ -64,46 +63,33 @@ class TestMonomials:
     def test_str_forms(self):
         assert str(LineBundleMonomial((3, -1))) == "L1^3 L2^-1"
         assert str(LineBundleMonomial((0, 0))) == "1"
-        assert str(LineBundleMonomial((2, 2), minus_S=True)) == "O(-S) L1^2 L2^2"
 
     def test_value_semantics(self):
-        # a monomial is the plain tuple (exponents, minus_S)
+        # a monomial is the plain one-field tuple (exponents,)
         a = LineBundleMonomial((3, -1))
-        twisted = LineBundleMonomial((3, -1), minus_S=True)
-        assert a == ((3, -1), False) and hash(a) == hash(((3, -1), False))
-        assert twisted == ((3, -1), True)
-        assert hash(twisted) == hash(((3, -1), True))
-        assert a != twisted
-        # exponents first, the twist breaks ties
-        monos = [twisted, LineBundleMonomial((-1, 3), True), a,
-                 LineBundleMonomial((-1, 3))]
-        assert sorted(monos) == [monos[3], monos[1], a, twisted]
-        assert repr(twisted) == "LineBundleMonomial(exponents=(3, -1), minus_S=True)"
-        assert str(twisted) == "O(-S) L1^3 L2^-1"
+        assert a == ((3, -1),) and hash(a) == hash(((3, -1),))
+        assert a != LineBundleMonomial((-1, 3))
+        # ordered by exponents
+        monos = [a, LineBundleMonomial((-1, 3)), LineBundleMonomial((3, -2))]
+        assert sorted(monos) == [monos[1], monos[2], a]
+        assert repr(a) == "LineBundleMonomial(exponents=(3, -1))"
         assert a.latex() == "\\mathcal{L}_{1}^{3}\\mathcal{L}_{2}^{-1}"
-        assert twisted.latex() == (
-            "\\mathcal{O}(-S)\\otimes \\mathcal{L}_{1}^{3}\\mathcal{L}_{2}^{-1}"
-        )
         assert LineBundleMonomial((0, 0)).latex() == "\\mathcal{O}"
         with pytest.raises(AttributeError):
-            a.minus_S = True
+            a.exponents = (0, 0)
 
 
 class TestLabels:
-    def test_restriction_and_twist_exclusive(self):
-        twisted = LineBundleMonomial((3, 3), minus_S=True)
-        with pytest.raises(DoubleTwist):
-            SheafCohomologyLabel(0, twisted, restricted_to_S=True)
-
-    def test_negative_degree_rejected(self):
-        with pytest.raises(BadDegree):
-            SheafCohomologyLabel(-1, LineBundleMonomial((1,)))
+    def test_value_semantics(self):
+        # a label is the plain tuple (degree, monomial), degree first
+        lab = SheafCohomologyLabel(1, LineBundleMonomial((3, -1)))
+        assert lab == (1, ((3, -1),)) and hash(lab) == hash((1, ((3, -1),)))
+        top = SheafCohomologyLabel(0, LineBundleMonomial((4, 4)))
+        assert sorted([lab, top]) == [top, lab]
 
     def test_str(self):
         lab = SheafCohomologyLabel(1, LineBundleMonomial((3, -1)))
         assert str(lab) == "H^1(Xbar, L1^3 L2^-1)"
-        res = SheafCohomologyLabel(0, LineBundleMonomial((3, 3)), restricted_to_S=True)
-        assert str(res) == "H^0(S, L1^3 L2^3|_S)"
 
 
 class TestVarietyInvariants:

@@ -2,12 +2,14 @@
 package's encoder writes exactly what the stdlib's ``json.dumps`` writes."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbert_hodge import (
     VarietyInvariants,
+    cli,
     eisenstein_data,
     ih_table,
     mhs_table,
@@ -47,6 +49,22 @@ def test_table_document_round_trip_non_parallel():
     _, _, mhs, ih, eis, doc = build_table_doc(m=(2, 1), g=0, h=3)
     spec2, inv2, mhs2, ih2, eis2 = tables_from_document(json.loads(dump_json(doc)))
     assert mhs2 == mhs and ih2 == ih and eis2 == eis
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("restricted_to_s", True), ("minus_s", True), ("degree", -1)],
+)
+def test_reader_refuses_labels_no_table_makes(capsys, key, value):
+    code = cli.main(["table", "--n", "2", "--m", "1,1", "--cusps", "1",
+                     "--genus", "1", "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    tables_from_document(doc)  # as written, the document is read back
+    record = doc["tables"]["H"][2]["grF"][0]["labels"][0]
+    record[key] = value
+    with pytest.raises(ValueError, match=re.escape(str(record))):
+        tables_from_document(doc)
 
 
 def test_dump_json_is_deterministic():

@@ -23,14 +23,12 @@ from hilbert_hodge.errors import BadDegree, TrivialSystem
 from hilbert_hodge.tables import gr_F_label_rows, gr_f_label_count, in_dictionary
 
 
-def mono(*exps, minus_S=False):
-    return LineBundleMonomial(tuple(exps), minus_S=minus_S)
+def mono(*exps):
+    return LineBundleMonomial(tuple(exps))
 
 
-def label(degree, *exps, minus_S=False, restricted=False):
-    return SheafCohomologyLabel(
-        degree, mono(*exps, minus_S=minus_S), restricted_to_S=restricted
-    )
+def label(degree, *exps):
+    return SheafCohomologyLabel(degree, mono(*exps))
 
 
 class TestGrFLabels:
@@ -148,17 +146,6 @@ class TestDimensionDictionary:
         self.spec = validate_spec(2, (1, 1), table=True)
         self.inv = VarietyInvariants(2, 2, 1)  # h=2, g=1 -> D=8, e=2
 
-    def test_twisted_top_monomial(self):
-        inv = VarietyInvariants(2, 1, 1)
-        got = sheaf_cohomology_dim(label(0, 3, 3, minus_S=True), self.spec, inv)
-        assert got == 8
-
-    def test_restricted_top_monomial(self):
-        got = sheaf_cohomology_dim(
-            label(0, 3, 3, restricted=True), self.spec, self.inv
-        )
-        assert got == 2
-
     def test_dual_weight_below_middle_vanishes(self):
         spec = validate_spec(2, (1, 2), table=True)
         inv = VarietyInvariants(2, 1, 1)
@@ -184,10 +171,6 @@ class TestDimensionDictionary:
         misses = [
             (label(0, 3, 3, 3),
              "label H^0(Xbar, L1^3 L2^3 L3^3) has rank 3, spec has n=2"),
-            (label(1, 3, 3, restricted=True),
-             "no dictionary entry for H^1(S, L1^3 L2^3|_S)"),
-            (label(1, 3, 3, minus_S=True),
-             "no dictionary entry for H^1(Xbar, O(-S) L1^3 L2^3)"),
             (label(2, 3, 3), "no dictionary entry for H^2(Xbar, L1^3 L2^3)"),
             (label(0, 1, 1),
              "H^0(Xbar, L1^1 L2^1) is not of the form H^j(Xbar, C_I)"),
@@ -205,7 +188,6 @@ class TestDimensionDictionary:
         inv = VarietyInvariants(2, 3, 1)  # D = 4, e = 0
         assert sheaf_cohomology_dim(label(0, 3, 2), spec, inv) == 4
         assert sheaf_cohomology_dim(label(1, 3, 2), spec, inv) == 0
-        assert sheaf_cohomology_dim(label(0, 3, 2, restricted=True), spec, inv) == 0
 
 
 class TestIhTable:
