@@ -28,7 +28,6 @@ from .kunneth import (
 from .model import (
     LineBundleMonomial,
     LocalSystemSpec,
-    SheafCohomologyLabel,
     SheafMatrix,
     VarietyInvariants,
     validate_spec,
@@ -77,7 +76,6 @@ __all__ = [
     "MhsRow",
     "MhsTable",
     "OracleSizeExceeded",
-    "SheafCohomologyLabel",
     "SheafMatrix",
     "SweepBounds",
     "TrivialSystem",

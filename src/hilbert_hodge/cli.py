@@ -22,16 +22,15 @@ from dataclasses import dataclass
 
 from .consistency import SweepBounds, run_verification
 from .errors import ConfigError, HilbertHodgeError, OutputTooLarge
-from .higgs import default_oracle_cap
 from .kunneth import cohomology_sheaf_closed_form
 from .model import (
+    LineBundleMonomial,
     LocalSystemSpec,
     VarietyInvariants,
+    label_text,
     validate_spec,
 )
 from .serialize import (
-    _label_from,
-    _monomial_from,
     dump_json,
     eisenstein_document,
     sheaf_matrix_document,
@@ -237,7 +236,10 @@ def render_table_text(doc: dict) -> str:
         if not n <= row["k"] <= 2 * n - 1:
             continue
         for g in row["grF"]:
-            labels = ", ".join(str(_label_from(lb)) for lb in g["labels"])
+            labels = ", ".join(
+                label_text(lb["degree"], LineBundleMonomial(tuple(lb["exponents"])))
+                for lb in g["labels"]
+            )
             lines.append(f"  k={row['k']} Gr_F^{g['p']}: {labels}")
     return "\n".join(lines) + "\n"
 
@@ -267,7 +269,9 @@ def render_sheaf_text(doc: dict) -> str:
     lines = _header_text(doc)
     lines.append("cohomology sheaves (P, l) -> line bundles:")
     for row in doc["tables"]["C"]:
-        monos = ", ".join(str(_monomial_from(obj)) for obj in row["monomials"])
+        monos = ", ".join(
+            str(LineBundleMonomial(tuple(obj["exponents"]))) for obj in row["monomials"]
+        )
         lines.append(f"  (P={row['p']}, l={row['l']}): {monos}")
     return "\n".join(lines) + "\n"
 
@@ -277,7 +281,8 @@ def render_sheaf_latex(doc: dict) -> str:
     out.append("$P$ & $l$ & $\\mathcal{C}^{P,l}$ \\\\")
     for row in doc["tables"]["C"]:
         monos = " \\oplus ".join(
-            f"${_monomial_from(obj).latex()}$" for obj in row["monomials"]
+            f"${LineBundleMonomial(tuple(obj['exponents'])).latex()}$"
+            for obj in row["monomials"]
         )
         out.append(f"${row['p']}$ & ${row['l']}$ & {monos} \\\\")
     out.append("\\end{tabular}")
@@ -365,12 +370,8 @@ def _run_eisenstein(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    defaults = SweepBounds()
-    bounds = SweepBounds(
-        max_n=defaults.max_n if config.max_n is None else config.max_n,
-        max_m=defaults.max_m if config.max_m is None else config.max_m,
-        oracle_cap=default_oracle_cap(config.oracle_cap),
-    )
+    given = {k: getattr(config, k) for k in ("max_n", "max_m", "oracle_cap")}
+    bounds = SweepBounds(**{k: v for k, v in given.items() if v is not None})
     report = run_verification(bounds)
     doc = verify_document(report, {"max_n": bounds.max_n, "max_m": bounds.max_m})
     _emit(doc, config.fmt, render_verify_text, render_verify_latex)

@@ -30,7 +30,7 @@ from itertools import groupby, product as iter_product
 from math import comb
 
 from .errors import ConfigError, InconsistentInvariants, OracleSizeExceeded
-from .higgs import build_log_higgs_complex, homology
+from .higgs import DEFAULT_ORACLE_CAP, build_log_higgs_complex, homology
 from .kunneth import cohomology_sheaf_closed_form, count_N, weight_counts
 from .model import LocalSystemSpec, VarietyInvariants, validate_spec
 from .tables import IhTable, gr_F_label_rows, mhs_table
@@ -97,7 +97,7 @@ class SweepBounds:
 
     max_n: int = 4
     max_m: int = 3
-    oracle_cap: int | None = None
+    oracle_cap: int = DEFAULT_ORACLE_CAP
 
     def __post_init__(self) -> None:
         # a sweep over nothing would report OK without checking anything
@@ -105,6 +105,8 @@ class SweepBounds:
             raise ConfigError(f"max_n must be >= 1, got {self.max_n}")
         if self.max_m < 0:
             raise ConfigError(f"max_m must be >= 0, got {self.max_m}")
+        if self.oracle_cap < 1:
+            raise ConfigError(f"oracle_cap must be >= 1, got {self.oracle_cap}")
 
 
 def _iter_weights(n: int, max_m: int):

@@ -40,18 +40,11 @@ from itertools import compress, product
 from math import comb, prod
 from operator import add
 
-from .errors import BadHodgeIndex, ConfigError, OracleSizeExceeded
+from .errors import BadHodgeIndex, OracleSizeExceeded
 from .linalg import integer_matrix_rank
 from .model import LineBundleMonomial, LocalSystemSpec, SheafMatrix
 
-DEFAULT_ORACLE_CAP = 10**6
-
-
-def default_oracle_cap(cap: int | None = None) -> int:
-    """Basis-size cap for the oracle: ``cap`` if given, else 10^6; >= 1."""
-    if cap is not None and cap < 1:
-        raise ConfigError(f"oracle_cap must be >= 1, got {cap}")
-    return DEFAULT_ORACLE_CAP if cap is None else cap
+DEFAULT_ORACLE_CAP = 10**6  # basis elements in one slice
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -159,7 +152,7 @@ def slice_size(spec: LocalSystemSpec, P: int) -> int:
 
 
 def build_log_higgs_complex(
-    spec: LocalSystemSpec, P: int, *, cap: int | None = None
+    spec: LocalSystemSpec, P: int, *, cap: int = DEFAULT_ORACLE_CAP
 ) -> HiggsChainComplex:
     """Assemble the slice of the logarithmic Higgs complex at Hodge index P.
 
@@ -177,7 +170,6 @@ def build_log_higgs_complex(
         raise BadHodgeIndex(
             f"Hodge index P must lie in [0, {spec.weight + spec.n}], got {P}"
         )
-    cap = default_oracle_cap(cap)
     size = slice_size(spec, P)
     if size > cap:
         raise OracleSizeExceeded(f"complex has {size} basis elements, cap is {cap}")
@@ -239,7 +231,9 @@ def homology(cx: HiggsChainComplex) -> SheafMatrix:
     return SheafMatrix(n, m, cells)
 
 
-def full_homology(spec: LocalSystemSpec, *, cap: int | None = None) -> SheafMatrix:
+def full_homology(
+    spec: LocalSystemSpec, *, cap: int = DEFAULT_ORACLE_CAP
+) -> SheafMatrix:
     """Homology of every Hodge-index slice, each checked for d o d = 0 first,
     merged into one sheaf matrix.  Entries are stored per block, so the
     grading needs no pass here; ``verify`` still checks their index ranges."""

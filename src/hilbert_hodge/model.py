@@ -1,6 +1,6 @@
 """Domain types for Hilbert modular cohomology tables.
 
-Everything downstream is driven by four small immutable values and one
+Everything downstream is driven by three small immutable values and one
 container built from them:
 
 * :class:`LocalSystemSpec` -- the multi-weight ``m = (m_1, ..., m_n)`` of an
@@ -13,15 +13,13 @@ container built from them:
 * :class:`LineBundleMonomial` -- a formal product ``L_1^{s_1} ... L_n^{s_n}``
   of the basic line bundles on the compactification.  It is a one-field
   named tuple ``(exponents,)`` and equals the plain tuple of its field.
-* :class:`SheafCohomologyLabel` -- a cohomological degree together with a
-  monomial, i.e. the symbol ``H^k(Xbar, L_1^{s_1}...)``: the named tuple
-  ``(degree, monomial)``.
 * :class:`SheafMatrix` -- multisets of monomials indexed by cells
   ``(P, l)``: the shape of both the closed-form answer and the oracle's
   homology, so the two are compared as equal values of one type.
 
-The four values are frozen and hashable; a sheaf matrix is treated as
-immutable once built.
+The three values are frozen and hashable; a sheaf matrix is treated as
+immutable once built.  A sheaf cohomology group ``H^j(Xbar, C)`` is the
+plain pair ``(j, C)``, spelled by :func:`label_text`.
 """
 
 from __future__ import annotations
@@ -59,52 +57,28 @@ class LineBundleMonomial(NamedTuple):
         return "".join(parts) if parts else "\\mathcal{O}"
 
 
-def _normalized(cells: dict) -> dict:
-    """Drop zero multiplicities and empty cells so dict equality is honest."""
-    out = {}
-    for key, counter in cells.items():
-        if not counter:
-            continue
-        if any(k <= 0 for k in counter.values()):
-            counter = Counter({mono: k for mono, k in counter.items() if k > 0})
-            if not counter:
-                continue
-        elif not isinstance(counter, Counter):
-            counter = Counter(counter)
-        out[key] = counter
-    return out
+def label_text(degree: int, monomial: LineBundleMonomial) -> str:
+    """The symbol ``H^degree(Xbar, monomial)`` of the label ``(degree, monomial)``."""
+    return f"H^{degree}(Xbar, {monomial})"
 
 
 @dataclass
 class SheafMatrix:
     """Multisets of line-bundle monomials indexed by cells ``(P, l)``.
 
-    ``cells[(P, l)]`` is a Counter of monomials.  Treat instances as
-    immutable once built.
+    ``cells[(P, l)]`` is a Counter of monomials; producers pass only
+    non-empty cells with positive counts.  Treat instances as immutable once
+    built.
     """
 
     n: int
     m: tuple[int, ...]
     cells: dict[tuple[int, int], Counter] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.cells = _normalized(self.cells)
-
     def sorted_cells(self) -> list[tuple[tuple[int, int], list[LineBundleMonomial]]]:
         return [
             (key, sorted(self.cells[key].elements())) for key in sorted(self.cells)
         ]
-
-
-class SheafCohomologyLabel(NamedTuple):
-    """The symbol ``H^degree(Xbar, monomial)``: a plain tuple
-    ``(degree, monomial)``, ordered by degree first."""
-
-    degree: int
-    monomial: LineBundleMonomial
-
-    def __str__(self) -> str:
-        return f"H^{self.degree}(Xbar, {self.monomial})"
 
 
 @dataclass(frozen=True)

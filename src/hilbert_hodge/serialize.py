@@ -20,7 +20,8 @@ golden-file round-trip tests rely on.
 The tables make no ``O(-S)`` twist and no restriction to ``S``; the
 ``"minus_s"`` and ``"restricted_to_s"`` keys are kept, always ``false``, so
 that the format and every pinned output stay unchanged.  The reader refuses
-a record with either flag set, or a label of negative degree.
+a label with either flag set, a negative degree, or a degree or exponent
+that is not an int.
 """
 
 from __future__ import annotations
@@ -34,24 +35,22 @@ from .consistency import CheckReport
 from .model import (
     LineBundleMonomial,
     LocalSystemSpec,
-    SheafCohomologyLabel,
     SheafMatrix,
     VarietyInvariants,
 )
 from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable
 
 
-def _monomial_from(obj: dict) -> LineBundleMonomial:
-    if obj["minus_s"] is not False:
-        raise ValueError(f"O(-S)-twisted monomials are not supported: {obj}")
-    return LineBundleMonomial(tuple(obj["exponents"]))
-
-
-def _label_from(obj: dict) -> SheafCohomologyLabel:
-    degree = int(obj["degree"])
-    if degree < 0 or obj["restricted_to_s"] is not False:
-        raise ValueError(f"not a label H^j(Xbar, C_I) with j >= 0: {obj}")
-    return SheafCohomologyLabel(degree, _monomial_from(obj))
+def _label_from(obj: dict) -> tuple[int, LineBundleMonomial]:
+    degree, exponents = obj["degree"], tuple(obj["exponents"])
+    if (
+        {type(x) for x in (degree, *exponents)} != {int}
+        or degree < 0
+        or obj["minus_s"] is not False
+        or obj["restricted_to_s"] is not False
+    ):
+        raise ValueError(f"not a label H^j(Xbar, C_I) in integers with j >= 0: {obj}")
+    return degree, LineBundleMonomial(exponents)
 
 
 def spec_section(spec: LocalSystemSpec) -> dict:

@@ -32,33 +32,35 @@ from math import comb
 from .errors import DictionaryMiss
 from .kunneth import subset_monomials, weight_counts
 from .model import (
+    LineBundleMonomial,
     LocalSystemSpec,
-    SheafCohomologyLabel,
     VarietyInvariants,
+    label_text,
     require_table_mode,
 )
 
 NOTE_VANISHES = "vanishes"
 NOTE_COMPUTED = ""
+Label = tuple[int, LineBundleMonomial]  # (j, C) for H^j(Xbar, C)
 
 
 def gr_F_labels(
     spec: LocalSystemSpec, k: int, subsets=None
-) -> dict[int, tuple[SheafCohomologyLabel, ...]]:
+) -> dict[int, tuple[Label, ...]]:
     """Graded pieces of the Hodge filtration on ``H^k`` as label lists.
 
     For each subset ``I`` with ``k - |I| >= 0`` the piece at
-    ``P = |m_I| + |I|`` receives the label ``H^{k-|I|}(Xbar, C_I)``.
+    ``P = |m_I| + |I|`` receives ``(k - |I|, C_I)``, i.e. ``H^{k-|I|}(Xbar, C_I)``.
     ``subsets`` shares ``list(subset_monomials(spec.m))`` over degrees;
     its order reversed is the sorted order of every piece.
     """
     if not 0 <= k <= 2 * spec.n:
         raise ValueError(f"degree k must lie in [0, {2 * spec.n}], got {k}")
-    out: dict[int, list[SheafCohomologyLabel]] = {}
+    out: dict[int, list[Label]] = {}
     for P, l, mono in subset_monomials(spec.m) if subsets is None else subsets:
         if l > k:
             break
-        out.setdefault(P, []).append(SheafCohomologyLabel(k - l, mono))
+        out.setdefault(P, []).append((k - l, mono))
     return {P: tuple(reversed(labels)) for P, labels in out.items()}
 
 
@@ -103,7 +105,7 @@ def _subset_of_label(
 
 
 def sheaf_cohomology_dim(
-    label: SheafCohomologyLabel, spec: LocalSystemSpec, inv: VarietyInvariants
+    label: Label, spec: LocalSystemSpec, inv: VarietyInvariants
 ) -> int:
     """Dimension dictionary for the sheaf cohomology groups the tables use.
 
@@ -124,28 +126,29 @@ def sheaf_cohomology_dim(
     D = inv.l2_dim(spec)
     e = inv.cusps if spec.is_parallel else 0
     plus_two = spec.top_exponents
-    j = label.degree
-    exps = label.monomial.exponents
+    j, (exps,) = label
     if len(exps) != n:
-        raise DictionaryMiss(f"label {label} has rank {len(exps)}, spec has n={n}")
+        raise DictionaryMiss(
+            f"label {label_text(*label)} has rank {len(exps)}, spec has n={n}"
+        )
 
     if exps == plus_two:
         if j == 0:
             return D + e
         if 1 <= j <= n - 1:
             return comb(n - 1, j) * e
-        raise DictionaryMiss(f"no dictionary entry for {label}")
+        raise DictionaryMiss(f"no dictionary entry for {label_text(*label)}")
 
     chosen = _subset_of_label(exps, m)
     if chosen is None:
-        raise DictionaryMiss(f"{label} is not of the form H^j(Xbar, C_I)")
+        raise DictionaryMiss(f"{label_text(*label)} is not of the form H^j(Xbar, C_I)")
     if not chosen and j < n:
         return 0
     if j == n - len(chosen):
         return D
     raise DictionaryMiss(
-        f"no dictionary entry for {label} (only degree {n - len(chosen)} of "
-        "this monomial is determined)"
+        f"no dictionary entry for {label_text(*label)} (only degree "
+        f"{n - len(chosen)} of this monomial is determined)"
     )
 
 
@@ -245,7 +248,7 @@ class MhsRow:
     weights: tuple[tuple[int, int], ...]
     hodge: dict[tuple[int, int], int]
     splitting: tuple[int, int]
-    gr_f: dict[int, tuple[SheafCohomologyLabel, ...]]
+    gr_f: dict[int, tuple[Label, ...]]
     note: str = NOTE_COMPUTED
 
 

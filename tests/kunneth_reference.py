@@ -37,12 +37,11 @@ def kunneth_product(a: SheafMatrix, b: SheafMatrix) -> SheafMatrix:
     The factors live over disjoint index sets, so exponent vectors are
     concatenated in order.
     """
-    cells: dict[tuple[int, int], dict] = {}
+    cells: dict[tuple[int, int], Counter] = {}
     for (p1, l1), c1 in a.cells.items():
         for (p2, l2), c2 in b.cells.items():
-            target = cells.setdefault((p1 + p2, l1 + l2), {})
+            target = cells.setdefault((p1 + p2, l1 + l2), Counter())
             for mono1, k1 in c1.items():
                 for mono2, k2 in c2.items():
-                    key = concat(mono1, mono2)
-                    target[key] = target.get(key, 0) + k1 * k2
+                    target[concat(mono1, mono2)] += k1 * k2
     return SheafMatrix(a.n + b.n, a.m + b.m, cells)

@@ -144,6 +144,25 @@ class TestSheafMatrixVerb:
         assert code == 0
         assert out.count("\\begin{tabular}") == out.count("\\end{tabular}") == 1
 
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", "local system: n=2 m=(0, 0)\n"
+                 "cohomology sheaves (P, l) -> line bundles:\n"
+                 "  (P=0, l=0): 1\n"
+                 "  (P=1, l=1): L2^2, L1^2\n"
+                 "  (P=2, l=2): L1^2 L2^2\n"),
+        ("latex", "\\begin{tabular}{rrl}\n"
+                  "$P$ & $l$ & $\\mathcal{C}^{P,l}$ \\\\\n"
+                  "$0$ & $0$ & $\\mathcal{O}$ \\\\\n"
+                  "$1$ & $1$ & $\\mathcal{L}_{2}^{2}$ \\oplus $\\mathcal{L}_{1}^{2}$ \\\\\n"
+                  "$2$ & $2$ & $\\mathcal{L}_{1}^{2}\\mathcal{L}_{2}^{2}$ \\\\\n"
+                  "\\end{tabular}\n"),
+    ])
+    def test_empty_monomial(self, capsys, fmt, expected):
+        # all weights zero: the P = 0 cell holds the monomial with no factor
+        code, out, _ = run(capsys, "sheaf-matrix", "--n", "2", "--m", "0,0",
+                           "--format", fmt)
+        assert (code, out) == (0, expected)
+
     def test_oversized_matrix_refused_before_assembly(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("closed form called for an oversized matrix")

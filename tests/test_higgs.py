@@ -17,7 +17,7 @@ from hilbert_hodge import (
     validate_spec,
 )
 from hilbert_hodge import higgs
-from hilbert_hodge.higgs import HiggsBasisElement, default_oracle_cap, slice_size
+from hilbert_hodge.higgs import HiggsBasisElement, slice_size
 from hilbert_hodge.linalg import integer_matrix_rank
 
 
@@ -162,12 +162,12 @@ class TestOracleCap:
             build_log_higgs_complex(spec, 12, cap=10)
 
     def test_default(self):
-        from hilbert_hodge import ConfigError
+        from hilbert_hodge import ConfigError, SweepBounds
 
-        assert default_oracle_cap() == 10**6
-        assert default_oracle_cap(3) == 3
+        assert SweepBounds().oracle_cap == 10**6
+        assert SweepBounds(oracle_cap=3).oracle_cap == 3
         with pytest.raises(ConfigError, match="oracle_cap must be >= 1, got 0"):
-            default_oracle_cap(0)
+            SweepBounds(oracle_cap=0)
 
 
 def out_of_block_complex():

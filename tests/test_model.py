@@ -6,11 +6,11 @@ from hilbert_hodge import (
     IncompatibleRank,
     LineBundleMonomial,
     LocalSystemSpec,
-    SheafCohomologyLabel,
     TrivialSystem,
     VarietyInvariants,
     validate_spec,
 )
+from hilbert_hodge.model import label_text
 
 
 class TestValidateSpec:
@@ -80,16 +80,8 @@ class TestMonomials:
 
 
 class TestLabels:
-    def test_value_semantics(self):
-        # a label is the plain tuple (degree, monomial), degree first
-        lab = SheafCohomologyLabel(1, LineBundleMonomial((3, -1)))
-        assert lab == (1, ((3, -1),)) and hash(lab) == hash((1, ((3, -1),)))
-        top = SheafCohomologyLabel(0, LineBundleMonomial((4, 4)))
-        assert sorted([lab, top]) == [top, lab]
-
     def test_str(self):
-        lab = SheafCohomologyLabel(1, LineBundleMonomial((3, -1)))
-        assert str(lab) == "H^1(Xbar, L1^3 L2^-1)"
+        assert label_text(1, LineBundleMonomial((3, -1))) == "H^1(Xbar, L1^3 L2^-1)"
 
 
 class TestVarietyInvariants:

@@ -19,7 +19,7 @@ BREAK_ONE_DICTIONARY_ENTRY = (
     "original = tables.sheaf_cohomology_dim\n"
     "def off_by_one(label, spec, inv):\n"
     "    d = original(label, spec, inv)\n"
-    "    hit = label.degree == 0 and label.monomial.exponents == (3, 3)\n"
+    "    hit = label[0] == 0 and label[1].exponents == (3, 3)\n"
     "    return d + 1 if hit else d\n"
     "tables.sheaf_cohomology_dim = off_by_one\n"
 )
@@ -103,10 +103,11 @@ def test_verify_records_a_broken_dimension_dictionary(flags):
 MISS_ONE_DICTIONARY_ENTRY = (
     "from hilbert_hodge import tables\n"
     "from hilbert_hodge.errors import DictionaryMiss\n"
+    "from hilbert_hodge.model import label_text\n"
     "original = tables.sheaf_cohomology_dim\n"
     "def missing(label, spec, inv):\n"
-    "    if label.degree == 0 and label.monomial.exponents == (3, 3):\n"
-    "        raise DictionaryMiss(f'forced miss for {label}')\n"
+    "    if label[0] == 0 and label[1].exponents == (3, 3):\n"
+    "        raise DictionaryMiss(f'forced miss for {label_text(*label)}')\n"
     "    return original(label, spec, inv)\n"
     "tables.sheaf_cohomology_dim = missing\n"
 )

@@ -53,7 +53,15 @@ def test_table_document_round_trip_non_parallel():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("restricted_to_s", True), ("minus_s", True), ("degree", -1)],
+    [
+        ("restricted_to_s", True),
+        ("minus_s", True),
+        ("degree", -1),
+        ("degree", 1.5),
+        ("degree", True),
+        ("degree", "2"),
+        ("exponents", [3.0, 3]),
+    ],
 )
 def test_reader_refuses_labels_no_table_makes(capsys, key, value):
     code = cli.main(["table", "--n", "2", "--m", "1,1", "--cusps", "1",

@@ -10,7 +10,6 @@ from hilbert_hodge import (
     DictionaryMiss,
     InconsistentInvariants,
     LineBundleMonomial,
-    SheafCohomologyLabel,
     VarietyInvariants,
     eisenstein_data,
     gr_F_labels,
@@ -28,7 +27,7 @@ def mono(*exps):
 
 
 def label(degree, *exps):
-    return SheafCohomologyLabel(degree, mono(*exps))
+    return (degree, mono(*exps))
 
 
 class TestGrFLabels:
