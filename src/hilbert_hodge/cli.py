@@ -41,7 +41,7 @@ from .tables import eisenstein_data, gr_f_label_count, mhs_table
 
 FORMATS = ("text", "json", "latex")
 MODES = ("table", "sheaf-matrix", "eisenstein", "verify")
-CONFIG_KEYS = ("format", "n", "m", "cusps", "genus", "oracle_cap", "max_n", "max_m")
+CONFIG_KEYS = ("format", "n", "m", "cusps", "genus", "max_n", "max_m")
 # most labels (table), monomials (sheaf-matrix) or boundary classes
 # (eisenstein) one run may emit: this admits n <= 15 for table, n <= 19 for
 # sheaf-matrix and n <= 20 for eisenstein
@@ -65,7 +65,6 @@ class RunConfig:
     m: tuple[int, ...] | None = None
     cusps: int | None = None
     genus: int | None = None
-    oracle_cap: int | None = None
     max_n: int | None = None
     max_m: int | None = None
 
@@ -149,7 +148,6 @@ def resolve_config(args, mode: str) -> RunConfig:
         m=None if m is None else _parse_m(m),
         cusps=opt_int("cusps"),
         genus=opt_int("genus"),
-        oracle_cap=opt_int("oracle_cap"),
         max_n=opt_int("max_n"),
         max_m=opt_int("max_m"),
     )
@@ -370,7 +368,7 @@ def _run_eisenstein(config: RunConfig) -> int:
 
 
 def _run_verify(config: RunConfig) -> int:
-    given = {k: getattr(config, k) for k in ("max_n", "max_m", "oracle_cap")}
+    given = {k: getattr(config, k) for k in ("max_n", "max_m")}
     bounds = SweepBounds(**{k: v for k, v in given.items() if v is not None})
     report = run_verification(bounds)
     doc = verify_document(report, {"max_n": bounds.max_n, "max_m": bounds.max_m})
@@ -413,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         if verify:
             p.add_argument("--max-n", type=int, help="sweep bound on n")
             p.add_argument("--max-m", type=int, help="sweep bound on weights")
-            p.add_argument(
-                "--oracle-cap", type=int, help="basis-size cap for the oracle"
-            )
 
     p = sub.add_parser("table", help="full mixed Hodge structure table")
     add_common(p, spec=True, invariants=True)

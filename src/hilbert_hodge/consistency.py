@@ -30,7 +30,7 @@ from itertools import groupby, product as iter_product
 from math import comb
 
 from .errors import ConfigError, InconsistentInvariants, OracleSizeExceeded
-from .higgs import DEFAULT_ORACLE_CAP, build_log_higgs_complex, homology
+from .higgs import build_log_higgs_complex, homology
 from .kunneth import cohomology_sheaf_closed_form, count_N, weight_counts
 from .model import LocalSystemSpec, VarietyInvariants, validate_spec
 from .tables import IhTable, gr_F_label_rows, mhs_table
@@ -92,12 +92,12 @@ class SweepBounds:
 
     Table checks run for every non-trivial system with ``2 <= n <= max_n``
     and weights up to ``max_m`` over the genus and cusp grids; the homology
-    oracle additionally covers ``n = 1`` (engine-only degenerate case).
+    oracle additionally covers ``n = 1`` (engine-only degenerate case) and
+    skips each slice over the fixed ``higgs.ORACLE_CAP``.
     """
 
     max_n: int = 4
     max_m: int = 3
-    oracle_cap: int = DEFAULT_ORACLE_CAP
 
     def __post_init__(self) -> None:
         # a sweep over nothing would report OK without checking anything
@@ -105,8 +105,6 @@ class SweepBounds:
             raise ConfigError(f"max_n must be >= 1, got {self.max_n}")
         if self.max_m < 0:
             raise ConfigError(f"max_m must be >= 0, got {self.max_m}")
-        if self.oracle_cap < 1:
-            raise ConfigError(f"oracle_cap must be >= 1, got {self.oracle_cap}")
 
 
 def _iter_weights(n: int, max_m: int):
@@ -146,7 +144,7 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
             for P in range(spec.weight + spec.n + 1):
                 params = _fmt(spec, P=P)
                 try:
-                    cx = build_log_higgs_complex(spec, P, cap=bounds.oracle_cap)
+                    cx = build_log_higgs_complex(spec, P)
                 except OracleSizeExceeded as exc:
                     refused += 1
                     report.skip("oracle_equivalence", params, str(exc))
@@ -279,10 +277,9 @@ def iter_table_inputs(bounds: SweepBounds):
                     yield spec, inv
 
 
-def run_verification(bounds: SweepBounds | None = None) -> CheckReport:
-    """The whole suite over the default (or given) sweep bounds.  The table
-    half builds each system's Gr_F labels once for all its (g, h) pairs."""
-    bounds = bounds or SweepBounds()
+def run_verification(bounds: SweepBounds) -> CheckReport:
+    """The whole suite over the given sweep bounds.  The table half builds
+    each system's Gr_F labels once for all its (g, h) pairs."""
     report = check_oracle_equivalence(bounds)
     for spec, pairs in groupby(iter_table_inputs(bounds), key=lambda p: p[0]):
         labels = gr_F_label_rows(spec)

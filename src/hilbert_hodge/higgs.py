@@ -27,8 +27,8 @@ keeps its own element counts and its differential in block-local indices.
 Ranks are taken per block by exact fraction-free elimination.  Homology
 comes back as a ``SheafMatrix``, the type of the closed form, but nothing
 here knows the closed-form answer: this is the independent side of the
-cross-validation.  A slice over the size cap is refused from its
-closed-form size, before anything is built.
+cross-validation.  A slice over the fixed size cap ``ORACLE_CAP`` is
+refused from its closed-form size, before anything is built.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import BadHodgeIndex, OracleSizeExceeded
 from .linalg import integer_matrix_rank
 from .model import LineBundleMonomial, LocalSystemSpec, SheafMatrix
 
-DEFAULT_ORACLE_CAP = 10**6  # basis elements in one slice
+ORACLE_CAP = 10**6  # basis elements in one slice
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -151,9 +151,7 @@ def slice_size(spec: LocalSystemSpec, P: int) -> int:
     )
 
 
-def build_log_higgs_complex(
-    spec: LocalSystemSpec, P: int, *, cap: int = DEFAULT_ORACLE_CAP
-) -> HiggsChainComplex:
+def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
     """Assemble the slice of the logarithmic Higgs complex at Hodge index P.
 
     The differential of a basis element ``(t, I)`` is
@@ -163,7 +161,7 @@ def build_log_higgs_complex(
 
     and summands with coefficient zero (``t_i = m_i``) are omitted.  Blocks
     come in lexicographic order of ``s``, each in the product order of its
-    states.  A slice over the cap (default 10^6) raises
+    states.  A slice over ``ORACLE_CAP`` (10^6), read at each call, raises
     :class:`OracleSizeExceeded` before anything is built.
     """
     if not 0 <= P <= spec.weight + spec.n:
@@ -171,8 +169,10 @@ def build_log_higgs_complex(
             f"Hodge index P must lie in [0, {spec.weight + spec.n}], got {P}"
         )
     size = slice_size(spec, P)
-    if size > cap:
-        raise OracleSizeExceeded(f"complex has {size} basis elements, cap is {cap}")
+    if size > ORACLE_CAP:
+        raise OracleSizeExceeded(
+            f"complex has {size} basis elements, cap is {ORACLE_CAP}"
+        )
     n, m = spec.n, spec.m
 
     factors = range(1, n + 1)
@@ -228,18 +228,16 @@ def homology(cx: HiggsChainComplex) -> SheafMatrix:
             if dim:
                 mono = mono or _element(s, [st[0] for st in _states(s, m)]).monomial(m)
                 cells.setdefault((cx.P, l), Counter())[mono] = dim
-    return SheafMatrix(n, m, cells)
+    return SheafMatrix(cells)
 
 
-def full_homology(
-    spec: LocalSystemSpec, *, cap: int = DEFAULT_ORACLE_CAP
-) -> SheafMatrix:
-    """Homology of every Hodge-index slice, each checked for d o d = 0 first,
-    merged into one sheaf matrix.  Entries are stored per block, so the
-    grading needs no pass here; ``verify`` still checks their index ranges."""
+def full_homology(spec: LocalSystemSpec) -> SheafMatrix:
+    """Homology of every Hodge-index slice, each within ``ORACLE_CAP`` and
+    checked for d o d = 0 first, merged into one sheaf matrix.  Entries are
+    per block, so grading needs no pass; ``verify`` checks their index ranges."""
     cells: dict[tuple[int, int], Counter] = {}
     for P in range(spec.weight + spec.n + 1):
-        cx = build_log_higgs_complex(spec, P, cap=cap)
+        cx = build_log_higgs_complex(spec, P)
         cx.verify_chain_property()
         cells.update(homology(cx).cells)
-    return SheafMatrix(spec.n, spec.m, cells)
+    return SheafMatrix(cells)

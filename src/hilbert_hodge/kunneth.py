@@ -47,7 +47,7 @@ def cohomology_sheaf_closed_form(spec: LocalSystemSpec) -> SheafMatrix:
     cells: dict[tuple[int, int], Counter] = {}
     for P, l, mono in subset_monomials(spec.m):
         cells.setdefault((P, l), Counter())[mono] += 1
-    return SheafMatrix(spec.n, spec.m, cells)
+    return SheafMatrix(cells)
 
 
 def count_N(m, P: int) -> int:

@@ -14,8 +14,8 @@ container built from them:
   of the basic line bundles on the compactification.  It is a one-field
   named tuple ``(exponents,)`` and equals the plain tuple of its field.
 * :class:`SheafMatrix` -- multisets of monomials indexed by cells
-  ``(P, l)``: the shape of both the closed-form answer and the oracle's
-  homology, so the two are compared as equal values of one type.
+  ``(P, l)``, and nothing else: the shape of both the closed-form answer and
+  the oracle's homology, so the two are compared as equal values of one type.
 
 The three values are frozen and hashable; a sheaf matrix is treated as
 immutable once built.  A sheaf cohomology group ``H^j(Xbar, C)`` is the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -67,13 +67,11 @@ class SheafMatrix:
     """Multisets of line-bundle monomials indexed by cells ``(P, l)``.
 
     ``cells[(P, l)]`` is a Counter of monomials; producers pass only
-    non-empty cells with positive counts.  Treat instances as immutable once
-    built.
+    non-empty cells with positive counts.  The system they belong to is the
+    caller's to know.  Treat instances as immutable once built.
     """
 
-    n: int
-    m: tuple[int, ...]
-    cells: dict[tuple[int, int], Counter] = field(default_factory=dict)
+    cells: dict[tuple[int, int], Counter]
 
     def sorted_cells(self) -> list[tuple[tuple[int, int], list[LineBundleMonomial]]]:
         return [
@@ -95,6 +93,8 @@ class LocalSystemSpec:
     m: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if {type(x) for x in (self.n, *self.m)} != {int}:
+            raise BadDegree(f"n and m must be ints, got n = {self.n!r}, m = {self.m!r}")
         if self.n < 1:
             raise BadDegree(f"need n >= 1 upper-half-plane factors, got {self.n}")
         if len(self.m) != self.n:
@@ -142,7 +142,7 @@ def validate_spec(n: int, m, *, table: bool = False) -> LocalSystemSpec:
     and a non-trivial system.  Without it the engine rules apply (``n >= 1``,
     any non-negative weights), which is what the homology oracle needs.
     """
-    spec = LocalSystemSpec(n, tuple(int(mi) for mi in m))
+    spec = LocalSystemSpec(n, tuple(m))
     if table:
         require_table_mode(spec)
     return spec
@@ -179,6 +179,8 @@ class VarietyInvariants:
     genus: int
 
     def __post_init__(self) -> None:
+        if {type(self.n), type(self.cusps), type(self.genus)} != {int}:
+            raise InconsistentInvariants(f"invariants must be ints, got {self!r}")
         if self.n < 2:
             raise BadDegree(f"a Hilbert modular variety has n >= 2, got {self.n}")
         if self.cusps < 1:

@@ -20,8 +20,8 @@ golden-file round-trip tests rely on.
 The tables make no ``O(-S)`` twist and no restriction to ``S``; the
 ``"minus_s"`` and ``"restricted_to_s"`` keys are kept, always ``false``, so
 that the format and every pinned output stay unchanged.  The reader refuses
-a label with either flag set, a negative degree, or a degree or exponent
-that is not an int.
+a label with either flag set or a negative degree, a number that is not an
+int, and an ``mhs_field`` other than ``Q`` or ``R``.
 """
 
 from __future__ import annotations
@@ -41,16 +41,19 @@ from .model import (
 from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable
 
 
+def _fields(record: dict, *names: str) -> list:
+    """The named fields of a record, refused unless each is an int or int list."""
+    values = [record[name] for name in names]
+    if {type(x) for v in values for x in (v if type(v) is list else [v])} - {int}:
+        raise ValueError(f"not a record in integers: {record}")
+    return values
+
+
 def _label_from(obj: dict) -> tuple[int, LineBundleMonomial]:
-    degree, exponents = obj["degree"], tuple(obj["exponents"])
-    if (
-        {type(x) for x in (degree, *exponents)} != {int}
-        or degree < 0
-        or obj["minus_s"] is not False
-        or obj["restricted_to_s"] is not False
-    ):
+    degree, exponents = _fields(obj, "degree", "exponents")
+    if degree < 0 or obj["minus_s"] is not False or obj["restricted_to_s"] is not False:
         raise ValueError(f"not a label H^j(Xbar, C_I) in integers with j >= 0: {obj}")
-    return degree, LineBundleMonomial(exponents)
+    return degree, LineBundleMonomial(tuple(exponents))
 
 
 def spec_section(spec: LocalSystemSpec) -> dict:
@@ -309,28 +312,28 @@ def tables_from_document(
     doc: dict,
 ) -> tuple[LocalSystemSpec, VarietyInvariants, MhsTable, IhTable, list[EisensteinDatum]]:
     """Rebuild the table objects from a table-mode document."""
-    spec = LocalSystemSpec(int(doc["spec"]["n"]), tuple(doc["spec"]["m"]))
+    spec = LocalSystemSpec(doc["spec"]["n"], tuple(doc["spec"]["m"]))
     inv = VarietyInvariants(
-        spec.n, int(doc["invariants"]["cusps"]), int(doc["invariants"]["genus"])
+        spec.n, doc["invariants"]["cusps"], doc["invariants"]["genus"]
     )
     tables = doc["tables"]
+    if tables["mhs_field"] not in ("Q", "R"):
+        raise ValueError(f"mhs_field must be Q or R, got {tables['mhs_field']!r}")
 
-    dims = [0] * len(tables["IH"]["rows"])
-    for row in tables["IH"]["rows"]:
-        dims[int(row["k"])] = int(row["dim"])
-    ih = IhTable(
-        spec,
-        inv,
-        tuple(dims),
-        {(h["p"], h["q"]): h["dim"] for h in tables["IH"]["hodge"]},
-    )
+    def hodge(entries: list) -> dict[tuple[int, int], int]:
+        return {(p, q): d for h in entries for p, q, d in [_fields(h, "p", "q", "dim")]}
+
+    ih_rows = [_fields(row, "k", "dim") for row in tables["IH"]["rows"]]
+    dims = [0] * len(ih_rows)
+    for k, dim in ih_rows:
+        dims[k] = dim
+    ih = IhTable(spec, inv, tuple(dims), hodge(tables["IH"]["hodge"]))
 
     eis = [
         EisensteinDatum(
-            int(row["k"]),
-            int(row["cusps"]),
+            *_fields(row, "k", "cusps"),
             tuple(
-                (tuple(b["a"]), tuple(b["alpha"]), tuple(b["beta"]))
+                tuple(map(tuple, _fields(b, "a", "alpha", "beta")))
                 for b in row["basis"]
             ),
         )
@@ -338,14 +341,15 @@ def tables_from_document(
     ]
     mhs = MhsTable(spec, inv, ih, tuple(eis), mhs_field=tables["mhs_field"])
     for row in tables["H"]:
-        mhs.rows[int(row["k"])] = MhsRow(
-            k=int(row["k"]),
-            dim=int(row["dim"]),
-            weights=tuple((w["weight"], w["dim"]) for w in row["weights"]),
-            hodge={(h["p"], h["q"]): h["dim"] for h in row["hodge"]},
-            splitting=(row["splitting"]["ih"], row["splitting"]["eis"]),
+        k, dim = _fields(row, "k", "dim")
+        mhs.rows[k] = MhsRow(
+            k=k,
+            dim=dim,
+            weights=tuple(tuple(_fields(w, "weight", "dim")) for w in row["weights"]),
+            hodge=hodge(row["hodge"]),
+            splitting=tuple(_fields(row["splitting"], "ih", "eis")),
             gr_f={
-                g["p"]: tuple(_label_from(lb) for lb in g["labels"])
+                _fields(g, "p")[0]: tuple(_label_from(lb) for lb in g["labels"])
                 for g in row["grF"]
             },
             note=row["note"],

@@ -23,7 +23,7 @@ def concat(a: LineBundleMonomial, b: LineBundleMonomial) -> LineBundleMonomial:
 
 def unit_matrix() -> SheafMatrix:
     """Empty-product unit: n = 0 with a single trivial monomial at (0, 0)."""
-    return SheafMatrix(0, (), {(0, 0): Counter({LineBundleMonomial(()): 1})})
+    return SheafMatrix({(0, 0): Counter({LineBundleMonomial(()): 1})})
 
 
 def single_factor_matrix(mi: int) -> SheafMatrix:
@@ -44,4 +44,4 @@ def kunneth_product(a: SheafMatrix, b: SheafMatrix) -> SheafMatrix:
             for mono1, k1 in c1.items():
                 for mono2, k2 in c2.items():
                     target[concat(mono1, mono2)] += k1 * k2
-    return SheafMatrix(a.n + b.n, a.m + b.m, cells)
+    return SheafMatrix(cells)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbert_hodge import SweepBounds, cli, tables
+from hilbert_hodge import SweepBounds, cli, higgs, tables
 from hilbert_hodge.consistency import CheckReport, iter_table_inputs
 
 
@@ -241,23 +241,21 @@ class TestVerifyVerb:
         assert code == 2
         assert "FAILED" in out
 
-    def test_oracle_cap_flag_skips(self, capsys):
+    def test_reached_cap_skips(self, capsys, monkeypatch):
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 1)
         doc = run_json(
-            capsys,
-            "verify", "--max-n", "2", "--max-m", "2",
-            "--oracle-cap", "1", "--format", "json",
+            capsys, "verify", "--max-n", "2", "--max-m", "2", "--format", "json"
         )
         assert doc["summary"]["skipped"] > 0
         assert doc["summary"]["ok"] is True
 
-    def test_oracle_cap_leaves_no_chain_property_pass(self, capsys):
+    def test_reached_cap_leaves_no_chain_property_pass(self, capsys, monkeypatch):
         # with cap 1 only n=1, m=(0,) has every slice (two of size 1) built;
         # every other system has a refused slice, so its chain property
         # cannot be reported as passing
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 1)
         doc = run_json(
-            capsys,
-            "verify", "--max-n", "2", "--max-m", "1",
-            "--oracle-cap", "1", "--format", "json",
+            capsys, "verify", "--max-n", "2", "--max-m", "1", "--format", "json"
         )
         chain = {
             c["params"]: (c["status"], c["lhs"])
@@ -278,7 +276,8 @@ class TestVerifyVerb:
         [
             (("--max-n", "0"), "max_n must be >= 1"),
             (("--max-m", "-1"), "max_m must be >= 0"),
-            (("--oracle-cap", "0"), "oracle_cap must be >= 1"),
+            # the oracle cap is a constant, with no flag to set it
+            (("--oracle-cap", "1"), "unrecognized arguments: --oracle-cap 1"),
         ],
     )
     def test_empty_sweep_or_cap_exits_one(self, capsys, flags, message):
@@ -366,6 +365,14 @@ class TestConfigFile:
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert (code, out) == (1, "")
         assert "'max-n'" in err
+
+    def test_oracle_cap_key_refused(self, capsys, tmp_path):
+        # the oracle cap is a constant, with no setting to change it
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"oracle_cap": 1}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert "config file names no setting 'oracle_cap'" in err
 
     def test_unreadable_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "--config", str(tmp_path / "absent.json"))

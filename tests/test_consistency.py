@@ -16,7 +16,7 @@ from hilbert_hodge import (
     run_verification,
     validate_spec,
 )
-from hilbert_hodge import consistency
+from hilbert_hodge import consistency, higgs
 from hilbert_hodge.consistency import (
     SWEEP_CUSPS,
     SWEEP_GENERA,
@@ -159,7 +159,7 @@ class TestOracleEquivalenceCheck:
         assert failed == 0 and skipped == 0 and passed > 0
 
     def test_homology_error_is_an_oracle_failure(self, monkeypatch):
-        def broken(cx, *, cap=None):
+        def broken(cx):
             raise AssertionError("rank bookkeeping produced a negative dimension")
 
         monkeypatch.setattr(consistency, "homology", broken)
@@ -177,10 +177,9 @@ class TestOracleEquivalenceCheck:
         assert all(r.status == "fail" for r in failures)
         assert "negative dimension" in failures[0].lhs
 
-    def test_cap_produces_skips_not_failures(self):
-        report = check_oracle_equivalence(
-            SweepBounds(max_n=2, max_m=2, oracle_cap=1)
-        )
+    def test_cap_produces_skips_not_failures(self, monkeypatch):
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 1)
+        report = check_oracle_equivalence(SweepBounds(max_n=2, max_m=2))
         assert report.ok
         assert any(r.status == "skip" for r in report.results)
 

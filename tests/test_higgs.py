@@ -137,10 +137,11 @@ class TestStructuralSweep:
 
 
 class TestOracleCap:
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 2)
         spec = validate_spec(2, (2, 2))
         with pytest.raises(OracleSizeExceeded):
-            build_log_higgs_complex(spec, 4, cap=2)
+            build_log_higgs_complex(spec, 4)
 
     def test_closed_form_size_is_the_built_size(self):
         for spec in sweep_specs(4, 3):
@@ -158,16 +159,29 @@ class TestOracleCap:
         with pytest.raises(AssertionError, match="the block loop started"):
             build_log_higgs_complex(spec, 12)
         # the middle slice has 34,124 basis elements
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 10)
         with pytest.raises(OracleSizeExceeded, match="34124 basis elements, cap is 10"):
-            build_log_higgs_complex(spec, 12, cap=10)
+            build_log_higgs_complex(spec, 12)
 
-    def test_default(self):
-        from hilbert_hodge import ConfigError, SweepBounds
+    def test_default(self, monkeypatch):
+        assert higgs.ORACLE_CAP == 10**6
+        # the cap is read at each call: slice P = 1 of m = (2, 2) has 4 elements
+        spec = validate_spec(2, (2, 2))
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 3)
+        with pytest.raises(OracleSizeExceeded, match="4 basis elements, cap is 3"):
+            build_log_higgs_complex(spec, 1)
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 4)
+        assert build_log_higgs_complex(spec, 1).total_size == 4
 
-        assert SweepBounds().oracle_cap == 10**6
-        assert SweepBounds(oracle_cap=3).oracle_cap == 3
-        with pytest.raises(ConfigError, match="oracle_cap must be >= 1, got 0"):
-            SweepBounds(oracle_cap=0)
+    def test_default_cap_is_reachable(self):
+        # the largest slice of m = (0,)*n is C(n, n // 2): within the cap at
+        # n = 22 and over it at n = 23, so verify --max-m 0 --max-n 23 skips
+        narrow, wide = validate_spec(22, (0,) * 22), validate_spec(23, (0,) * 23)
+        assert max(slice_size(narrow, P) for P in range(23)) == 705_432
+        assert max(slice_size(wide, P) for P in range(24)) == 1_352_078
+        message = "1352078 basis elements, cap is 1000000"
+        with pytest.raises(OracleSizeExceeded, match=message):
+            build_log_higgs_complex(wide, 12)
 
 
 def out_of_block_complex():

@@ -40,7 +40,11 @@ class TestValidateSpec:
 
     @pytest.mark.parametrize(
         "n,m",
-        [(0, ()), (-1, ()), (2, (1,)), (2, (1, -1)), (2, (1, 1, 1))],
+        [(0, ()), (-1, ()), (2, (1,)), (2, (1, -1)), (2, (1, 1, 1)),
+         # not ints: the type refuses them, and validate_spec does not
+         # truncate 1.5 or convert "1" first
+         (2.0, (1, 1)), (True, (1,)), (2, (1.0, 1)), (2, (1.5, 1)),
+         (2, (True, "1"))],
     )
     def test_bad_degrees(self, n, m):
         with pytest.raises(BadDegree):
@@ -108,6 +112,9 @@ class TestVarietyInvariants:
             VarietyInvariants(2, 0, 1)
         with pytest.raises(InconsistentInvariants):
             VarietyInvariants(2, 1, -1)
+        for fields in ((2.0, 1, 1), (2, True, 1), (2, 1, 1.0)):
+            with pytest.raises(InconsistentInvariants, match="must be ints"):
+                VarietyInvariants(*fields)
 
     def test_l2_dim(self):
         inv = VarietyInvariants(2, 1, 1)

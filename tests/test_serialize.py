@@ -3,11 +3,15 @@ package's encoder writes exactly what the stdlib's ``json.dumps`` writes."""
 
 import json
 import re
+from functools import reduce
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbert_hodge import (
+    BadDegree,
+    InconsistentInvariants,
     VarietyInvariants,
     cli,
     eisenstein_data,
@@ -72,6 +76,36 @@ def test_reader_refuses_labels_no_table_makes(capsys, key, value):
     record = doc["tables"]["H"][2]["grF"][0]["labels"][0]
     record[key] = value
     with pytest.raises(ValueError, match=re.escape(str(record))):
+        tables_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, error, message",
+    [
+        (("spec", "m"), [1.0, 1], BadDegree, "n and m must be ints"),
+        (("invariants", "cusps"), True, InconsistentInvariants, "must be ints"),
+        (("tables", "H", 2, "k"), 2.7, ValueError, None),
+        (("tables", "IH", "rows", 2, "dim"), "4", ValueError, None),
+        (("tables", "IH", "hodge", 0, "p"), 1.0, ValueError, None),
+        (("tables", "H", 2, "weights", 0, "weight"), True, ValueError, None),
+        (("tables", "H", 2, "splitting", "ih"), 1.5, ValueError, None),
+        (("tables", "H", 2, "grF", 0, "p"), 1.0, ValueError, None),
+        (("tables", "Eis", 0, "k"), 2.0, ValueError, None),
+        (("tables", "Eis", 0, "basis", 0, "alpha"), [3.0, 3], ValueError, None),
+        (("tables", "mhs_field"), "C", ValueError, "must be Q or R, got 'C'"),
+    ],
+)
+def test_reader_refuses_values_no_table_makes(capsys, path, value, error, message):
+    code = cli.main(["table", "--n", "2", "--m", "1,1", "--cusps", "1",
+                     "--genus", "1", "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    tables_from_document(doc)  # as written, the document is read back
+    *parents, key = path
+    record = reduce(getitem, parents, doc)
+    record[key] = value
+    # a refused record is named in full
+    with pytest.raises(error, match=re.escape(message or str(record))):
         tables_from_document(doc)
 
 
