@@ -18,11 +18,14 @@ complex whose degree-``l`` term collects the pairs ``(t, I)`` with
 Write ``s_i = t_i - e_i`` with ``e_i = [i in I]``.  The differential keeps
 ``s``, so the complex splits into blocks indexed by ``s`` (``-1 <= s_i <=
 m_i``), each with monomial ``prod_i L_i^{m_i - 2 s_i}`` and Hodge index
-``P = |m| - sum(s)``.  In a block, factor ``i`` has at most two states
-``(t_i, e_i)``: only ``(0, 1)`` if ``s_i = -1``, only ``(m_i, 0)`` if
-``s_i = m_i``, else both, joined by the coefficient ``m_i - s_i``.  A block
-is the tensor product of these pieces and is built directly from them; it
-keeps its own element counts and its differential in block-local indices.
+``P = |m| - sum(s)``.  In a block, factor ``i`` is fixed at ``(t_i, e_i) =
+(0, 1)`` if ``s_i = -1`` and at ``(m_i, 0)`` if ``s_i = m_i``; else it is
+free, its two states joined by the coefficient ``m_i - s_i``.  A block with
+``k`` free factors is thus the Koszul complex on them: its ``z`` factors at
+``s_i = -1`` lie in every wedge, so they shift each degree by ``z`` and
+negate the coefficient of a free factor after an odd number of them.  A
+slice builds one template per ``k`` its blocks have; each block takes its
+element counts and its differential, in block-local indices, from it.
 
 Ranks are taken per block by exact fraction-free elimination.  Homology
 comes back as a ``SheafMatrix``, the type of the closed form, but nothing
@@ -33,11 +36,10 @@ refused from its closed-form size, before anything is built.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress, product
-from math import comb, prod
+from itertools import product
+from math import comb
 from operator import add
 
 from .errors import BadHodgeIndex, OracleSizeExceeded
@@ -174,35 +176,35 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
             f"complex has {size} basis elements, cap is {ORACLE_CAP}"
         )
     n, m = spec.n, spec.m
-
-    factors = range(1, n + 1)
-    # one wedge tuple per pattern e, shared by every element with that pattern
-    wedge_of = {e: tuple(compress(factors, e)) for e in product((0, 1), repeat=n)}
+    # templates[k]: the entries (l, target, source, j, sign) raising free
+    # factor j and the counts per degree of the Koszul complex on k factors,
+    # built for the first block with k free factors, which has 2^k elements
+    templates = {}
     blocks, differentials = [], []
     for head in product(*(range(-1, mi + 1) for mi in m[:-1])):
         s = (*head, spec.weight - P - sum(head))
         if not -1 <= s[-1] <= m[-1]:
             continue
-        states = _states(s, m)
-        sizes = [0] * (n + 1)
-        where = []  # position in the block -> (degree, index in it, wedge)
-        for e in product(*states):
-            wedge = wedge_of[e]
-            l = len(wedge)
-            where.append((l, sizes[l], wedge))
-            sizes[l] += 1
-        # raising e_i from 0 to 1 moves steps[i] places in the block and
-        # multiplies by m_i - s_i, signed by the wedge indices below i
-        steps = [prod(map(len, states[i + 1 :])) for i in range(n)]
-        free = [(i + 1, steps[i], m[i] - s[i]) for i in range(n) if len(states[i]) > 1]
-        d = {}
-        for pos, (l, src, wedge) in enumerate(where):
-            for i, step, coeff in free:
-                if i not in wedge:
-                    sign = -1 if bisect(wedge, i) % 2 else 1
-                    d[l, where[pos + step][1], src] = sign * coeff
-        blocks.append((s, tuple(sizes)))
-        differentials.append(d)
+        z, coeffs = 0, []  # factors at s_i = -1, signed free coefficients
+        for si, mi in zip(s, m):
+            if si == -1:
+                z += 1
+            elif si < mi:
+                coeffs.append(-(mi - si) if z % 2 else mi - si)
+        if (k := len(coeffs)) not in templates:
+            counts, index = [0] * (k + 1), {}
+            for e in product((0, 1), repeat=k):  # the product order of states
+                index[e] = (l := sum(e)), counts[l]
+                counts[l] += 1
+            templates[k] = tuple(counts), [
+                (l, index[(*e[:j], 1, *e[j + 1 :])][1], src, j, (-1) ** sum(e[:j]))
+                for e, (l, src) in index.items() for j in range(k) if not e[j]
+            ]
+        counts, entries = templates[k]
+        blocks.append((s, (0,) * z + counts + (0,) * (n - z - k)))
+        differentials.append(
+            {(l + z, tgt, src): sign * coeffs[j] for l, tgt, src, j, sign in entries}
+        )
 
     return HiggsChainComplex(spec, P, tuple(blocks), tuple(differentials))
 

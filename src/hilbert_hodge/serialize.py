@@ -21,7 +21,9 @@ The tables make no ``O(-S)`` twist and no restriction to ``S``; the
 ``"minus_s"`` and ``"restricted_to_s"`` keys are kept, always ``false``, so
 that the format and every pinned output stay unchanged.  The reader refuses
 a label with either flag set or a negative degree, a number that is not an
-int, and an ``mhs_field`` other than ``Q`` or ``R``.
+int, an int list where an int belongs or the reverse, ``IH`` or ``H`` rows
+that do not hold each ``k`` in ``0..2n`` once, and an ``mhs_field`` other
+than ``Q`` or ``R``.
 """
 
 from __future__ import annotations
@@ -41,11 +43,18 @@ from .model import (
 from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable
 
 
+_INT_LISTS = {"exponents", "a", "alpha", "beta"}  # every other field is an int
+
+
 def _fields(record: dict, *names: str) -> list:
-    """The named fields of a record, refused unless each is an int or int list."""
+    """The named fields of a record, refused unless each one in ``_INT_LISTS``
+    is a list of ints and each other one an int."""
     values = [record[name] for name in names]
-    if {type(x) for v in values for x in (v if type(v) is list else [v])} - {int}:
-        raise ValueError(f"not a record in integers: {record}")
+    for name, v in zip(names, values):
+        is_list = type(v) is list
+        items = v if is_list else [v]
+        if is_list != (name in _INT_LISTS) or {type(x) for x in items} - {int}:
+            raise ValueError(f"not a record in integers: {record}")
     return values
 
 
@@ -323,11 +332,16 @@ def tables_from_document(
     def hodge(entries: list) -> dict[tuple[int, int], int]:
         return {(p, q): d for h in entries for p, q, d in [_fields(h, "p", "q", "dim")]}
 
-    ih_rows = [_fields(row, "k", "dim") for row in tables["IH"]["rows"]]
-    dims = [0] * len(ih_rows)
-    for k, dim in ih_rows:
-        dims[k] = dim
-    ih = IhTable(spec, inv, tuple(dims), hodge(tables["IH"]["hodge"]))
+    def by_k(rows: list, name: str) -> dict[int, dict]:
+        """The rows by ``k``, refused unless each k in 0..2n is one row's."""
+        ks = [_fields(row, "k")[0] for row in rows]
+        if sorted(ks) != list(range(2 * spec.n + 1)):
+            raise ValueError(f"{name} rows hold k = {ks}, not each k in 0..2n once")
+        return dict(zip(ks, rows))
+
+    ih_rows = by_k(tables["IH"]["rows"], "IH")
+    dims = tuple(_fields(ih_rows[k], "dim")[0] for k in sorted(ih_rows))
+    ih = IhTable(spec, inv, dims, hodge(tables["IH"]["hodge"]))
 
     eis = [
         EisensteinDatum(
@@ -340,11 +354,10 @@ def tables_from_document(
         for row in tables["Eis"]
     ]
     mhs = MhsTable(spec, inv, ih, tuple(eis), mhs_field=tables["mhs_field"])
-    for row in tables["H"]:
-        k, dim = _fields(row, "k", "dim")
+    for k, row in by_k(tables["H"], "H").items():
         mhs.rows[k] = MhsRow(
             k=k,
-            dim=dim,
+            dim=_fields(row, "dim")[0],
             weights=tuple(tuple(_fields(w, "weight", "dim")) for w in row["weights"]),
             hodge=hodge(row["hodge"]),
             splitting=tuple(_fields(row["splitting"], "ih", "eis")),

@@ -92,6 +92,13 @@ def sweep_specs(max_n, max_m):
             yield validate_spec(n, m)
 
 
+# past the sweeps: blocks with up to 7 free factors, and blocks that mix free
+# factors with factors fixed at s_i = -1 and at s_i = m_i
+WIDE_SPECS = [
+    validate_spec(len(m), m) for m in ((0, 2, 0, 1, 3), (1, 0, 1, 0, 1, 1), (1,) * 7)
+]
+
+
 class TestStructuralSweep:
     def test_oracle_equals_closed_form(self):
         # the central dual-route property
@@ -99,6 +106,11 @@ class TestStructuralSweep:
             got = full_homology(spec)
             want = cohomology_sheaf_closed_form(spec)
             assert got.sorted_cells() == want.sorted_cells(), spec
+
+    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda spec: str(spec.m))
+    def test_oracle_equals_closed_form_past_the_sweep(self, spec):
+        want = cohomology_sheaf_closed_form(spec).sorted_cells()
+        assert full_homology(spec).sorted_cells() == want
 
     def test_chain_property_and_grading(self):
         for spec in sweep_specs(3, 2):
@@ -232,7 +244,7 @@ def defining_complex(spec):
 
 class TestDefiningFormula:
     def test_block_build_matches_brute_force(self):
-        for spec in sweep_specs(4, 3):
+        for spec in [*sweep_specs(4, 3), *WIDE_SPECS]:
             for P, (elements, entries) in defining_complex(spec).items():
                 cx = build_log_higgs_complex(spec, P)
                 for l, term in enumerate(cx.terms):
