@@ -92,6 +92,7 @@ def test_reader_refuses_labels_no_table_makes(capsys, key, value):
         (("tables", "H", 2, "grF", 0, "p"), 1.0, ValueError, None),
         (("tables", "Eis", 0, "k"), 2.0, ValueError, None),
         (("tables", "Eis", 0, "basis", 0, "alpha"), [3.0, 3], ValueError, None),
+        (("tables", "mhs_field"), "C", ValueError, "must be Q or R, got 'C'"),
         # an int list where an int belongs, and an int where a list belongs
         (("tables", "H", 2, "splitting", "ih"), [32], ValueError, None),
         (("tables", "Eis", 0, "basis", 0, "alpha"), 3, ValueError, None),
@@ -100,7 +101,6 @@ def test_reader_refuses_labels_no_table_makes(capsys, key, value):
          "IH rows hold k = [0, 1, -1, 3, 4], not each k in 0..2n once"),
         (("tables", "H", 0, "k"), 1, ValueError,
          "H rows hold k = [1, 1, 2, 3, 4], not each k in 0..2n once"),
-        (("tables", "mhs_field"), "C", ValueError, "must be Q or R, got 'C'"),
     ],
 )
 def test_reader_refuses_values_no_table_makes(capsys, path, value, error, message):
