@@ -88,13 +88,15 @@ def _integer(value) -> int:
 
 
 def _parse_m(value) -> tuple[int, ...]:
+    if not isinstance(value, (str, list, tuple)):
+        raise ConfigError(f"bad weight list {value!r}")
     if isinstance(value, (list, tuple)):
         try:
             return tuple(_integer(x) for x in value)
         except (TypeError, ValueError):
             raise ConfigError(f"bad weight list {value!r}")
     try:
-        return tuple(int(part) for part in str(value).split(","))
+        return tuple(int(part) for part in value.split(","))
     except ValueError:
         raise ConfigError(f"--m expects a comma-separated integer list, got {value!r}")
 

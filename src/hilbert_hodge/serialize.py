@@ -22,8 +22,10 @@ The tables make no ``O(-S)`` twist and no restriction to ``S``; the
 that the format and every pinned output stay unchanged.  The reader refuses
 a label with either flag set or a negative degree, a number that is not an
 int, an int list where an int belongs or the reverse, ``IH`` or ``H`` rows
-that do not hold each ``k`` in ``0..2n`` once, and an ``mhs_field`` other
-than ``Q`` or ``R``.
+that do not hold each ``k`` in ``0..2n`` once (``Eis`` rows: ``n..2n-1``), a
+repeated Gr_F ``p``, Hodge ``(p, q)`` or weight, an ``Eis`` dim other than
+``len(basis) * cusps``, a note other than ``""`` or ``"vanishes"`` and an
+``mhs_field`` other than ``Q`` or ``R``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (
     SheafMatrix,
     VarietyInvariants,
 )
+from .tables import NOTE_COMPUTED, NOTE_VANISHES
 from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable
 
 
@@ -329,41 +332,49 @@ def tables_from_document(
     if tables["mhs_field"] not in ("Q", "R"):
         raise ValueError(f"mhs_field must be Q or R, got {tables['mhs_field']!r}")
 
-    def hodge(entries: list) -> dict[tuple[int, int], int]:
-        return {(p, q): d for h in entries for p, q, d in [_fields(h, "p", "q", "dim")]}
+    spans = {"0..2n": range(2 * spec.n + 1), "n..2n-1": range(spec.n, 2 * spec.n)}
 
-    def by_k(rows: list, name: str) -> dict[int, dict]:
-        """The rows by ``k``, refused unless each k in 0..2n is one row's."""
-        ks = [_fields(row, "k")[0] for row in rows]
-        if sorted(ks) != list(range(2 * spec.n + 1)):
-            raise ValueError(f"{name} rows hold k = {ks}, not each k in 0..2n once")
-        return dict(zip(ks, rows))
+    def keyed(records: list, *names: str, rows: str = "", span: str = "") -> dict:
+        """The records by their ``names`` fields (one name: by its value); refused
+        if two share a key or, with a ``span``, unless each k in it is one key."""
+        keys = [tuple(_fields(r, *names)) for r in records]
+        keys = [key if len(names) > 1 else key[0] for key in keys]
+        if span and sorted(keys) != list(spans[span]):
+            raise ValueError(f"{rows} rows hold k = {keys}, not each k in {span} once")
+        out: dict = {}
+        for key, record in zip(keys, records):
+            if out.setdefault(key, record) is not record:
+                raise ValueError(f"repeated {', '.join(names)} in {record}")
+        return out
 
-    ih_rows = by_k(tables["IH"]["rows"], "IH")
-    dims = tuple(_fields(ih_rows[k], "dim")[0] for k in sorted(ih_rows))
-    ih = IhTable(spec, inv, dims, hodge(tables["IH"]["hodge"]))
+    def dims(records: list, *names: str, **span: str) -> dict:
+        """:func:`keyed` with each record's ``dim`` in place of the record."""
+        by_key = keyed(records, *names, **span)
+        return {key: _fields(record, "dim")[0] for key, record in by_key.items()}
 
-    eis = [
-        EisensteinDatum(
-            *_fields(row, "k", "cusps"),
-            tuple(
-                tuple(map(tuple, _fields(b, "a", "alpha", "beta")))
-                for b in row["basis"]
-            ),
-        )
-        for row in tables["Eis"]
-    ]
+    ih_dims = dims(tables["IH"]["rows"], "k", rows="IH", span="0..2n")
+    ih_hodge = dims(tables["IH"]["hodge"], "p", "q")
+    ih = IhTable(spec, inv, tuple(ih_dims[k] for k in sorted(ih_dims)), ih_hodge)
+
+    eis = []
+    for k, row in keyed(tables["Eis"], "k", rows="Eis", span="n..2n-1").items():
+        basis = (map(tuple, _fields(b, "a", "alpha", "beta")) for b in row["basis"])
+        eis.append(EisensteinDatum(k, *_fields(row, "cusps"), tuple(map(tuple, basis))))
+        if _fields(row, "dim") != [eis[-1].dim]:
+            raise ValueError(f"Eis dim is not len(basis) * cusps: {row}")
     mhs = MhsTable(spec, inv, ih, tuple(eis), mhs_field=tables["mhs_field"])
-    for k, row in by_k(tables["H"], "H").items():
+    for k, row in keyed(tables["H"], "k", rows="H", span="0..2n").items():
+        if row["note"] not in (NOTE_COMPUTED, NOTE_VANISHES):
+            raise ValueError(f"note must be '' or 'vanishes': {row}")
         mhs.rows[k] = MhsRow(
             k=k,
             dim=_fields(row, "dim")[0],
-            weights=tuple(tuple(_fields(w, "weight", "dim")) for w in row["weights"]),
-            hodge=hodge(row["hodge"]),
+            weights=tuple(dims(row["weights"], "weight").items()),
+            hodge=dims(row["hodge"], "p", "q"),
             splitting=tuple(_fields(row["splitting"], "ih", "eis")),
             gr_f={
-                _fields(g, "p")[0]: tuple(_label_from(lb) for lb in g["labels"])
-                for g in row["grF"]
+                p: tuple(_label_from(lb) for lb in g["labels"])
+                for p, g in keyed(row["grF"], "p").items()
             },
             note=row["note"],
         )

@@ -4,15 +4,13 @@ This module turns the closed-form combinatorics into the final answers for
 an irreducible non-trivial local system ``V_m`` on a Hilbert modular variety
 of dimension ``n`` with ``h`` cusps and geometric genus ``g``:
 
-* the only non-vanishing degrees are ``n <= k <= 2n - 1``; everything above
-  the middle degree is boundary (Eisenstein) cohomology and exists only when
-  all ``m_i`` are equal;
-* ``H^n`` splits over the reals into the middle intersection cohomology, of
-  pure weight ``|m| + n``, and an Eisenstein piece of Hodge-Tate type
-  ``(|m| + n, |m| + n)`` and weight ``2(|m| + n)``;
-* with ``D = (g + (-1)^n) * rank`` the middle Hodge numbers are
-  ``h^{P,Q} = N(m, P) * D`` for ``P + Q = |m| + n``, plus ``h`` on the
-  Hodge-Tate corner in the parallel case.
+* every degree ``0 <= k <= 2n`` splits over the reals as
+  ``H^k = IH^k + Eis^k``: ``IH^k`` is non-zero only at ``k = n``, of pure
+  weight ``w = |m| + n``, and the Eisenstein (boundary) part only for
+  ``n <= k <= 2n - 1`` when all ``m_i`` are equal, of weight ``2w`` and
+  Hodge-Tate type ``(w, w)``;
+* with ``D = (g + (-1)^n) * rank`` the Hodge numbers of ``IH^n`` are
+  ``h^{P,Q} = N(m, P) * D`` for ``P + Q = w``.
 
 The graded pieces of the Hodge filtration are sums of sheaf cohomology
 groups of the monomials ``C_I``; their dimensions form a small closed
@@ -165,10 +163,6 @@ class IhTable:
     dims: tuple[int, ...]
     hodge: dict[tuple[int, int], int]
 
-    @property
-    def middle_dim(self) -> int:
-        return self.dims[self.spec.n]
-
 
 def ih_table(spec: LocalSystemSpec, inv: VarietyInvariants) -> IhTable:
     """Full intersection-cohomology table of the system."""
@@ -272,7 +266,13 @@ def mhs_table(
 ) -> MhsTable:
     """Assemble the full mixed-Hodge-structure table of the system from one
     :func:`ih_table` and one :func:`eisenstein_data` per degree ``n..2n-1``.
-    ``labels`` is ``gr_F_label_rows(spec)``; a sweep shares it per ``m``."""
+    ``labels`` is ``gr_F_label_rows(spec)``; a sweep shares it per ``m``.
+
+    Every row is ``H^k = IH^k + Eis^k``, split as ``(ih.dims[k],
+    eis[k - n].dim)``, the second 0 outside ``n..2n-1``; the parts have
+    weights ``w`` and ``2w`` and Hodge numbers ``ih.hodge`` (at ``k = n``)
+    and ``{(w, w): dim}``.  A row is noted ``"vanishes"`` unless ``k = n``
+    or its Eisenstein part is non-zero."""
     ih = ih_table(spec, inv)
     n = spec.n
     eis = tuple(eisenstein_data(spec, inv, k) for k in range(n, 2 * n))
@@ -282,40 +282,17 @@ def mhs_table(
     table = MhsTable(spec, inv, ih, eis, mhs_field="Q" if spec.is_parallel else "R")
 
     for k in range(2 * n + 1):
-        gr_f = labels[k]
-        if k < n or k == 2 * n:
-            table.rows[k] = MhsRow(
-                k, 0, (), {}, (0, 0), gr_f, note=NOTE_VANISHES
-            )
-            continue
-
-        if k == n:
-            ih_part = ih.middle_dim
-            eis_part = eis[0].dim
-            hodge = dict(ih.hodge)
-            if eis_part:
-                # (w, w) cannot collide with a (P, w - P) entry since w >= 2
-                hodge[(w, w)] = eis_part
-            weights = []
-            if ih_part:
-                weights.append((w, ih_part))
-            if eis_part:
-                weights.append((2 * w, eis_part))
-            table.rows[k] = MhsRow(
-                k,
-                ih_part + eis_part,
-                tuple(weights),
-                hodge,
-                (ih_part, eis_part),
-                gr_f,
-            )
-        else:
-            dim = eis[k - n].dim
-            hodge = {(w, w): dim} if dim else {}
-            weights = ((2 * w, dim),) if dim else ()
-            note = NOTE_COMPUTED if dim else NOTE_VANISHES
-            table.rows[k] = MhsRow(k, dim, weights, hodge, (0, dim), gr_f, note=note)
-
+        ih_part = ih.dims[k]
+        eis_part = eis[k - n].dim if n <= k < 2 * n else 0
+        hodge = dict(ih.hodge) if k == n else {}
+        if eis_part:
+            # (w, w) cannot collide with a (P, w - P) entry since w >= 2
+            hodge[(w, w)] = eis_part
+        weights = tuple((wt, d) for wt, d in ((w, ih_part), (2 * w, eis_part)) if d)
+        note = NOTE_COMPUTED if k == n or eis_part else NOTE_VANISHES
+        table.rows[k] = MhsRow(
+            k, ih_part + eis_part, weights, hodge, (ih_part, eis_part), labels[k], note
+        )
     _assert_gr_f_consistency(table)
     return table
 

@@ -190,7 +190,7 @@ def test_criterion_8_mhs_shape():
                 assert sum(row.hodge.values()) == row.dim
             # splitting of the middle degree
             middle = table.rows[n]
-            assert middle.dim == ih_table(spec, inv).middle_dim + (
+            assert middle.dim == ih_table(spec, inv).dims[n] + (
                 inv.cusps if spec.is_parallel else 0
             )
             assert middle.splitting[1] == eisenstein_data(spec, inv, n).dim

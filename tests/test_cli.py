@@ -400,7 +400,8 @@ class TestConfigFile:
         assert code == 1
         assert "integer" in err
 
-    # a fraction or a bool is refused, not truncated or read as 0 or 1
+    # a fraction or a bool is refused, not truncated or read as 0 or 1, and a
+    # bare number is not read as a weight list
     @pytest.mark.parametrize(
         "setting, value, message",
         [
@@ -408,8 +409,9 @@ class TestConfigFile:
             ("cusps", True, "error: setting cusps must be an integer, got True\n"),
             ("m", [1.7, 1], "error: bad weight list [1.7, 1]\n"),
             ("m", [True, 1], "error: bad weight list [True, 1]\n"),
+            ("m", 11, "error: bad weight list 11\n"),
         ],
-        ids=["n-fraction", "cusps-bool", "m-fraction", "m-bool"],
+        ids=["n-fraction", "cusps-bool", "m-fraction", "m-bool", "m-number"],
     )
     def test_non_integer_json_number_refused(
         self, capsys, tmp_path, setting, value, message
@@ -535,7 +537,7 @@ class TestExitCodes:
 
 
 class TestTextAndLatexGolden:
-    """Text and LaTeX renderings, and one JSON table, pinned byte for byte."""
+    """Text and LaTeX renderings, and three JSON tables, pinned byte for byte."""
 
     CASES = [
         (
@@ -556,6 +558,18 @@ class TestTextAndLatexGolden:
             ["table", "--n", "4", "--m", "2,1,1,3", "--cusps", "2", "--genus", "1",
              "--format", "json"],
             "table_n4_m2113_h2_g1.json",
+        ),
+        # D = 0 (odd n, genus 1): H^3 is 0 with note "" when not parallel,
+        # and Eisenstein only when parallel
+        (
+            ["table", "--n", "3", "--m", "2,0,1", "--cusps", "2", "--genus", "1",
+             "--format", "json"],
+            "table_n3_m201_h2_g1.json",
+        ),
+        (
+            ["table", "--n", "3", "--m", "2,2,2", "--cusps", "4", "--genus", "1",
+             "--format", "json"],
+            "table_n3_m222_h4_g1.json",
         ),
     ]
 

@@ -5,6 +5,7 @@ import json
 import re
 from functools import reduce
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,8 @@ from hilbert_hodge.serialize import (
     tables_from_document,
     verify_document,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def build_table_doc(n=2, m=(1, 1), h=1, g=1):
@@ -53,6 +56,14 @@ def test_table_document_round_trip_non_parallel():
     _, _, mhs, ih, eis, doc = build_table_doc(m=(2, 1), g=0, h=3)
     spec2, inv2, mhs2, ih2, eis2 = tables_from_document(json.loads(dump_json(doc)))
     assert mhs2 == mhs and ih2 == ih and eis2 == eis
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("table_*.json")))
+def test_golden_tables_read_back_as_built(name):
+    doc = json.loads((GOLDEN / name).read_text())
+    spec, inv, mhs, ih, eis = tables_from_document(doc)
+    assert mhs == mhs_table(spec, inv)
+    assert table_document(spec, inv, mhs, ih, eis) == doc
 
 
 @pytest.mark.parametrize(
@@ -101,6 +112,18 @@ def test_reader_refuses_labels_no_table_makes(capsys, key, value):
          "IH rows hold k = [0, 1, -1, 3, 4], not each k in 0..2n once"),
         (("tables", "H", 0, "k"), 1, ValueError,
          "H rows hold k = [1, 1, 2, 3, 4], not each k in 0..2n once"),
+        # a repeated key, which a dict would keep only once
+        (("tables", "H", 2, "grF", 1, "p"), 0, ValueError, None),
+        (("tables", "H", 2, "hodge", 3, "q"), 0, ValueError, None),
+        (("tables", "IH", "hodge", 2), {"dim": 8, "p": 0, "q": 4}, ValueError,
+         "repeated p, q in {'dim': 8, 'p': 0, 'q': 4}"),
+        (("tables", "H", 2, "weights", 1, "weight"), 4, ValueError, None),
+        (("tables", "Eis", 1, "k"), 2, ValueError,
+         "Eis rows hold k = [2, 2], not each k in n..2n-1 once"),
+        # an Eisenstein dim other than len(basis) * cusps, and an unknown note
+        (("tables", "Eis", 0, "dim"), 99, ValueError, None),
+        (("tables", "Eis", 0, "dim"), "x", ValueError, None),
+        (("tables", "H", 2, "note"), 5, ValueError, None),
     ],
 )
 def test_reader_refuses_values_no_table_makes(capsys, path, value, error, message):

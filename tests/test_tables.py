@@ -199,7 +199,7 @@ class TestIhTable:
         table = ih_table(validate_spec(2, (1, 0)), VarietyInvariants(2, 1, 1))
         assert table.dims[1] == 0
         assert table.dims[3] == 0
-        assert table.middle_dim == 16
+        assert table.dims[2] == 16
 
     def test_inconsistent_invariants_rejected(self):
         with pytest.raises(InconsistentInvariants):
