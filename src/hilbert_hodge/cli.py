@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -81,10 +82,12 @@ class RunConfig:
 
 
 def _integer(value) -> int:
-    """``int(value)``, refusing a bool and a float (even ``2.0``)."""
-    if isinstance(value, (bool, float)):
-        raise TypeError(f"{value!r} is not an integer")
-    return int(value)
+    """An int, or a string of ASCII digits with an optional sign: a bool, a
+    float (even ``2.0``) and ``int()``'s other spellings (``1_0``, ``" 2"``,
+    non-ASCII digits) are refused."""
+    if type(value) is int or type(value) is str and re.fullmatch("[+-]?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _parse_m(value) -> tuple[int, ...]:
@@ -93,10 +96,10 @@ def _parse_m(value) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)):
         try:
             return tuple(_integer(x) for x in value)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ConfigError(f"bad weight list {value!r}")
     try:
-        return tuple(int(part) for part in value.split(","))
+        return tuple(_integer(part) for part in value.split(","))
     except ValueError:
         raise ConfigError(f"--m expects a comma-separated integer list, got {value!r}")
 
@@ -139,7 +142,7 @@ def resolve_config(args, mode: str) -> RunConfig:
             return None
         try:
             return _integer(value)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ConfigError(f"setting {name} must be an integer, got {value!r}")
 
     m = _setting(args, cfg, "m")
@@ -405,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--format", choices=FORMATS, help="output format")
         if spec:
-            p.add_argument("--n", type=int, help="number of factors")
+            p.add_argument("--n", type=_integer, help="number of factors")
             p.add_argument("--m", help="comma-separated weights, e.g. 1,1")
         if invariants:
-            p.add_argument("--cusps", type=int, help="number of cusps")
-            p.add_argument("--genus", type=int, help="geometric genus")
+            p.add_argument("--cusps", type=_integer, help="number of cusps")
+            p.add_argument("--genus", type=_integer, help="geometric genus")
         if verify:
-            p.add_argument("--max-n", type=int, help="sweep bound on n")
-            p.add_argument("--max-m", type=int, help="sweep bound on weights")
+            p.add_argument("--max-n", type=_integer, help="sweep bound on n")
+            p.add_argument("--max-m", type=_integer, help="sweep bound on weights")
 
     p = sub.add_parser("table", help="full mixed Hodge structure table")
     add_common(p, spec=True, invariants=True)

@@ -15,17 +15,13 @@ pieces once into exactly what ``json.dumps(doc, sort_keys=True, indent=2)``
 writes, taking a list of flat same-keyed dicts column by column.  Documents
 are read-only: the labels of one monomial share one ``exponents`` list.
 :func:`tables_from_document` inverts the table part, which is what the
-golden-file round-trip tests rely on.
+golden-file round-trip tests rely on.  The tables follow from ``spec`` and
+``invariants`` alone, so a document is read back only if it is exactly the
+table of its ``spec`` and ``invariants``.
 
 The tables make no ``O(-S)`` twist and no restriction to ``S``; the
 ``"minus_s"`` and ``"restricted_to_s"`` keys are kept, always ``false``, so
-that the format and every pinned output stay unchanged.  The reader refuses
-a label with either flag set or a negative degree, a number that is not an
-int, an int list where an int belongs or the reverse, ``IH`` or ``H`` rows
-that do not hold each ``k`` in ``0..2n`` once (``Eis`` rows: ``n..2n-1``), a
-repeated Gr_F ``p``, Hodge ``(p, q)`` or weight, an ``Eis`` dim other than
-``len(basis) * cusps``, a note other than ``""`` or ``"vanishes"`` and an
-``mhs_field`` other than ``Q`` or ``R``.
+that the format and every pinned output stay unchanged.
 """
 
 from __future__ import annotations
@@ -34,38 +30,11 @@ from collections.abc import Sequence
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
+from reprlib import repr as _brief
 
 from .consistency import CheckReport
-from .model import (
-    LineBundleMonomial,
-    LocalSystemSpec,
-    SheafMatrix,
-    VarietyInvariants,
-)
-from .tables import NOTE_COMPUTED, NOTE_VANISHES
-from .tables import EisensteinDatum, IhTable, MhsRow, MhsTable
-
-
-_INT_LISTS = {"exponents", "a", "alpha", "beta"}  # every other field is an int
-
-
-def _fields(record: dict, *names: str) -> list:
-    """The named fields of a record, refused unless each one in ``_INT_LISTS``
-    is a list of ints and each other one an int."""
-    values = [record[name] for name in names]
-    for name, v in zip(names, values):
-        is_list = type(v) is list
-        items = v if is_list else [v]
-        if is_list != (name in _INT_LISTS) or {type(x) for x in items} - {int}:
-            raise ValueError(f"not a record in integers: {record}")
-    return values
-
-
-def _label_from(obj: dict) -> tuple[int, LineBundleMonomial]:
-    degree, exponents = _fields(obj, "degree", "exponents")
-    if degree < 0 or obj["minus_s"] is not False or obj["restricted_to_s"] is not False:
-        raise ValueError(f"not a label H^j(Xbar, C_I) in integers with j >= 0: {obj}")
-    return degree, LineBundleMonomial(tuple(exponents))
+from .model import LocalSystemSpec, SheafMatrix, VarietyInvariants, validate_spec
+from .tables import EisensteinDatum, IhTable, MhsTable, gr_f_label_count, mhs_table
 
 
 def spec_section(spec: LocalSystemSpec) -> dict:
@@ -323,59 +292,34 @@ def _records(items: list, newline: str, texts: dict) -> str | None:
 def tables_from_document(
     doc: dict,
 ) -> tuple[LocalSystemSpec, VarietyInvariants, MhsTable, IhTable, list[EisensteinDatum]]:
-    """Rebuild the table objects from a table-mode document."""
-    spec = LocalSystemSpec(doc["spec"]["n"], tuple(doc["spec"]["m"]))
+    """Rebuild the table objects of a document that is exactly the table of
+    its ``spec`` and ``invariants``; refuse any other with a ``ValueError``,
+    before building the table if its ``H`` rows hold another label count."""
+    spec = validate_spec(doc["spec"]["n"], doc["spec"]["m"], table=True)
     inv = VarietyInvariants(
         spec.n, doc["invariants"]["cusps"], doc["invariants"]["genus"]
     )
-    tables = doc["tables"]
-    if tables["mhs_field"] not in ("Q", "R"):
-        raise ValueError(f"mhs_field must be Q or R, got {tables['mhs_field']!r}")
+    labels = sum(len(g["labels"]) for row in doc["tables"]["H"] for g in row["grF"])
+    if labels != gr_f_label_count(spec.n):
+        raise ValueError(f"H rows hold {labels} labels, not {gr_f_label_count(spec.n)}")
+    mhs = mhs_table(spec, inv)
+    want = table_document(spec, inv, mhs, mhs.ih, mhs.eis)
+    _compare(doc, want, "document", "", "the document")
+    return spec, inv, mhs, mhs.ih, list(mhs.eis)
 
-    spans = {"0..2n": range(2 * spec.n + 1), "n..2n-1": range(spec.n, 2 * spec.n)}
 
-    def keyed(records: list, *names: str, rows: str = "", span: str = "") -> dict:
-        """The records by their ``names`` fields (one name: by its value); refused
-        if two share a key or, with a ``span``, unless each k in it is one key."""
-        keys = [tuple(_fields(r, *names)) for r in records]
-        keys = [key if len(names) > 1 else key[0] for key in keys]
-        if span and sorted(keys) != list(spans[span]):
-            raise ValueError(f"{rows} rows hold k = {keys}, not each k in {span} once")
-        out: dict = {}
-        for key, record in zip(keys, records):
-            if out.setdefault(key, record) is not record:
-                raise ValueError(f"repeated {', '.join(names)} in {record}")
-        return out
-
-    def dims(records: list, *names: str, **span: str) -> dict:
-        """:func:`keyed` with each record's ``dim`` in place of the record."""
-        by_key = keyed(records, *names, **span)
-        return {key: _fields(record, "dim")[0] for key, record in by_key.items()}
-
-    ih_dims = dims(tables["IH"]["rows"], "k", rows="IH", span="0..2n")
-    ih_hodge = dims(tables["IH"]["hodge"], "p", "q")
-    ih = IhTable(spec, inv, tuple(ih_dims[k] for k in sorted(ih_dims)), ih_hodge)
-
-    eis = []
-    for k, row in keyed(tables["Eis"], "k", rows="Eis", span="n..2n-1").items():
-        basis = (map(tuple, _fields(b, "a", "alpha", "beta")) for b in row["basis"])
-        eis.append(EisensteinDatum(k, *_fields(row, "cusps"), tuple(map(tuple, basis))))
-        if _fields(row, "dim") != [eis[-1].dim]:
-            raise ValueError(f"Eis dim is not len(basis) * cusps: {row}")
-    mhs = MhsTable(spec, inv, ih, tuple(eis), mhs_field=tables["mhs_field"])
-    for k, row in keyed(tables["H"], "k", rows="H", span="0..2n").items():
-        if row["note"] not in (NOTE_COMPUTED, NOTE_VANISHES):
-            raise ValueError(f"note must be '' or 'vanishes': {row}")
-        mhs.rows[k] = MhsRow(
-            k=k,
-            dim=_fields(row, "dim")[0],
-            weights=tuple(dims(row["weights"], "weight").items()),
-            hodge=dims(row["hodge"], "p", "q"),
-            splitting=tuple(_fields(row["splitting"], "ih", "eis")),
-            gr_f={
-                p: tuple(_label_from(lb) for lb in g["labels"])
-                for p, g in keyed(row["grF"], "p").items()
-            },
-            note=row["note"],
-        )
-    return spec, inv, mhs, ih, eis
+def _compare(have, want, field: str, row: str, record) -> None:
+    """Refuse ``have`` unless it is ``want`` in type, keys, length and value
+    (``1.0`` and ``True`` are not ``1``), naming its ``field``, its ``row`` (a
+    ``tables`` section, ``^k`` in a degree-``k`` record) and innermost ``record``."""
+    kind = type(want)
+    if kind is dict and type(have) is dict and have.keys() == want.keys():
+        row = f"{row}^{want['k']}" if "k" in want else row
+        for key, value in want.items():
+            _compare(have[key], value, key, key if field == "tables" else row, have)
+    elif kind is list and type(have) is list and len(have) == len(want):
+        for i, (item, wanted) in enumerate(zip(have, want)):
+            _compare(item, wanted, f"{field}[{i}]", row, record)
+    elif type(have) is not kind or kind in (dict, list) or have != want:
+        name = field if row in ("", field) else f"{field} {row}"
+        raise ValueError(f"{name} is {_brief(have)}, not {_brief(want)}, in {record}")

@@ -358,6 +358,26 @@ class TestConfigFile:
             assert code == 1, m
             assert "comma-separated" in err
 
+    # int() would also read digit-group underscores, surrounding spaces and
+    # non-ASCII digits: " 2", "1_0" and "\u0662" would run as 2, 10 and 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--n", " 2", "--m", "1,1", "--cusps", "1", "--genus", "1"],
+            ["table", "--n", "2", "--m", " 1,1", "--cusps", "1", "--genus", "1"],
+            ["table", "--n", "2", "--m", "1,1_0", "--cusps", "1", "--genus", "1"],
+            ["table", "--n", "2", "--m", "1,1", "--cusps", "1_0", "--genus", "1"],
+            ["table", "--n", "2", "--m", "1,1", "--cusps", "1", "--genus", "\u0662"],
+            ["verify", "--max-n", "2 ", "--max-m", "1"],
+            ["verify", "--max-n", "2", "--max-m", "+\u0661"],
+        ],
+        ids=["n-space", "m-space", "m-underscore", "cusps-underscore",
+             "genus-arabic-indic", "max-n-space", "max-m-arabic-indic"],
+    )
+    def test_int_spellings_beyond_ascii_digits_refused(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (1, "")
+
     def test_unknown_config_key_refused(self, capsys, tmp_path):
         # a misspelt bound must not fall back to the default sweep
         cfg = tmp_path / "run.json"
@@ -410,8 +430,14 @@ class TestConfigFile:
             ("m", [1.7, 1], "error: bad weight list [1.7, 1]\n"),
             ("m", [True, 1], "error: bad weight list [True, 1]\n"),
             ("m", 11, "error: bad weight list 11\n"),
+            ("n", " 2", "error: setting n must be an integer, got ' 2'\n"),
+            ("genus", "1_0", "error: setting genus must be an integer, got '1_0'\n"),
+            ("m", ["1_0", 1], "error: bad weight list ['1_0', 1]\n"),
+            ("m", "\u0661,1", "error: --m expects a comma-separated integer list, "
+             "got '\u0661,1'\n"),
         ],
-        ids=["n-fraction", "cusps-bool", "m-fraction", "m-bool", "m-number"],
+        ids=["n-fraction", "cusps-bool", "m-fraction", "m-bool", "m-number",
+             "n-space", "genus-underscore", "m-underscore", "m-arabic-indic"],
     )
     def test_non_integer_json_number_refused(
         self, capsys, tmp_path, setting, value, message

@@ -18,6 +18,7 @@ from hilbert_hodge import (
     eisenstein_data,
     ih_table,
     mhs_table,
+    serialize,
     validate_spec,
 )
 from hilbert_hodge.consistency import SweepBounds, run_verification
@@ -103,27 +104,34 @@ def test_reader_refuses_labels_no_table_makes(capsys, key, value):
         (("tables", "H", 2, "grF", 0, "p"), 1.0, ValueError, None),
         (("tables", "Eis", 0, "k"), 2.0, ValueError, None),
         (("tables", "Eis", 0, "basis", 0, "alpha"), [3.0, 3], ValueError, None),
-        (("tables", "mhs_field"), "C", ValueError, "must be Q or R, got 'C'"),
+        (("tables", "mhs_field"), "C", ValueError, "mhs_field is 'C', not 'Q'"),
         # an int list where an int belongs, and an int where a list belongs
         (("tables", "H", 2, "splitting", "ih"), [32], ValueError, None),
         (("tables", "Eis", 0, "basis", 0, "alpha"), 3, ValueError, None),
         # rows that do not hold each k in 0..2n once
         (("tables", "IH", "rows", 2, "k"), -1, ValueError,
-         "IH rows hold k = [0, 1, -1, 3, 4], not each k in 0..2n once"),
-        (("tables", "H", 0, "k"), 1, ValueError,
-         "H rows hold k = [1, 1, 2, 3, 4], not each k in 0..2n once"),
+         "k IH^2 is -1, not 2, in {'dim': 32, 'k': -1}"),
+        (("tables", "H", 0, "k"), 1, ValueError, "k H^0 is 1, not 0"),
         # a repeated key, which a dict would keep only once
         (("tables", "H", 2, "grF", 1, "p"), 0, ValueError, None),
         (("tables", "H", 2, "hodge", 3, "q"), 0, ValueError, None),
         (("tables", "IH", "hodge", 2), {"dim": 8, "p": 0, "q": 4}, ValueError,
-         "repeated p, q in {'dim': 8, 'p': 0, 'q': 4}"),
+         "p IH is 0, not 4, in {'dim': 8, 'p': 0, 'q': 4}"),
         (("tables", "H", 2, "weights", 1, "weight"), 4, ValueError, None),
-        (("tables", "Eis", 1, "k"), 2, ValueError,
-         "Eis rows hold k = [2, 2], not each k in n..2n-1 once"),
+        (("tables", "Eis", 1, "k"), 2, ValueError, "k Eis^3 is 2, not 3"),
         # an Eisenstein dim other than len(basis) * cusps, and an unknown note
         (("tables", "Eis", 0, "dim"), 99, ValueError, None),
         (("tables", "Eis", 0, "dim"), "x", ValueError, None),
         (("tables", "H", 2, "note"), 5, ValueError, None),
+        # numbers that disagree with the splitting H^2 = IH^2 + Eis^2 = 32 + 1
+        (("tables", "H", 2, "dim"), 99, ValueError, "dim H^2 is 99, not 33"),
+        (("tables", "H", 2, "splitting", "ih"), 7, ValueError, "ih H^2 is 7, not 32"),
+        (("tables", "IH", "rows", 2, "dim"), 5, ValueError, "dim IH^2 is 5, not 32"),
+        # a key, a section or a Hodge number more or less than the table has
+        (("tables", "H", 2, "grF", 0, "labels", 0, "extra"), 0, ValueError, None),
+        (("tables", "C"), [], ValueError, None),
+        (("tables", "H", 2, "hodge"), [{"dim": 8, "p": 0, "q": 4},
+         {"dim": 16, "p": 2, "q": 2}, {"dim": 8, "p": 4, "q": 0}], ValueError, None),
     ],
 )
 def test_reader_refuses_values_no_table_makes(capsys, path, value, error, message):
@@ -137,6 +145,19 @@ def test_reader_refuses_values_no_table_makes(capsys, path, value, error, messag
     record[key] = value
     # a refused record is named in full
     with pytest.raises(error, match=re.escape(message or str(record))):
+        tables_from_document(doc)
+
+
+def test_reader_counts_labels_before_building(monkeypatch):
+    # the n = 2 rows hold 16 labels; a table with n = 40 holds 6.7e13
+    *_, doc = build_table_doc()
+    doc["spec"] = {"n": 40, "m": [1] * 40}
+
+    def unbuilt(spec, inv):
+        pytest.fail("the table was built")
+
+    monkeypatch.setattr(serialize, "mhs_table", unbuilt)
+    with pytest.raises(ValueError, match="H rows hold 16 labels, not "):
         tables_from_document(doc)
 
 
