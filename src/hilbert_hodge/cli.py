@@ -1,14 +1,10 @@
 """Batch front-end: assemble tables or run the verification sweep.
 
-Verbs:
-
-* ``table``        -- full mixed-Hodge table for one system,
-* ``sheaf-matrix`` -- the closed-form cohomology-sheaf matrix,
-* ``eisenstein``   -- boundary cohomology data per degree,
-* ``verify``       -- the cross-validation sweep.
-
-Inputs come from flags or a JSON config file (flags win).  Output is text,
-JSON (canonical: sorted keys, sorted arrays) or a LaTeX tabular fragment.
+``VERBS`` names each verb with its runner, its help text and the
+``SETTINGS`` it reads; the parser, the dispatch and the config keys are all
+built from these two tables.  Inputs come from flags or a JSON config file
+(flags win), both read by one rule.  Output is text, JSON (canonical:
+sorted keys, sorted arrays) or a LaTeX tabular fragment.
 Exit status: 0 on success, 1 on a validation/configuration error or an
 output over ``OUTPUT_BUDGET``, 2 when a verification check fails.
 """
@@ -41,8 +37,16 @@ from .serialize import (
 from .tables import eisenstein_data, gr_f_label_count, mhs_table
 
 FORMATS = ("text", "json", "latex")
-MODES = ("table", "sheaf-matrix", "eisenstein", "verify")
-CONFIG_KEYS = ("format", "n", "m", "cusps", "genus", "max_n", "max_m")
+# each setting with its help text, in the order its values are converted
+SETTINGS = {
+    "n": "number of factors",
+    "m": "comma-separated weights, e.g. 1,1",
+    "cusps": "number of cusps",
+    "genus": "geometric genus",
+    "max_n": "sweep bound on n",
+    "max_m": "sweep bound on weights",
+}
+CONFIG_KEYS = ("format", *SETTINGS)
 # most labels (table), monomials (sheaf-matrix) or boundary classes
 # (eisenstein) one run may emit: this admits n <= 15 for table, n <= 19 for
 # sheaf-matrix and n <= 20 for eisenstein
@@ -70,7 +74,7 @@ class RunConfig:
     max_m: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
+        if self.mode not in VERBS:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown format {self.fmt!r}")
@@ -122,40 +126,29 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, name: str, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if name in cfg:
-        return cfg[name]
-    return default
+def _convert(name: str, value):
+    """A setting's value, from a flag's string or a config value alike."""
+    if name == "m":
+        return _parse_m(value)
+    try:
+        return _integer(value)
+    except ValueError:
+        raise ConfigError(f"setting {name} must be an integer, got {value!r}")
 
 
 def resolve_config(args, mode: str) -> RunConfig:
-    """Merge flags over the optional config file into one RunConfig."""
-    cfg = _load_config(getattr(args, "config", None))
-
-    def opt_int(name):
-        value = _setting(args, cfg, name)
-        if value is None:
-            return None
-        try:
-            return _integer(value)
-        except ValueError:
-            raise ConfigError(f"setting {name} must be an integer, got {value!r}")
-
-    m = _setting(args, cfg, "m")
-    return RunConfig(
-        mode=mode,
-        fmt=_setting(args, cfg, "format", default="text"),
-        n=opt_int("n"),
-        m=None if m is None else _parse_m(m),
-        cusps=opt_int("cusps"),
-        genus=opt_int("genus"),
-        max_n=opt_int("max_n"),
-        max_m=opt_int("max_m"),
-    )
+    """Merge flags over the optional config file into one RunConfig; a value
+    that is absent or null leaves its setting unset."""
+    given = _load_config(getattr(args, "config", None))
+    for key in CONFIG_KEYS:
+        if (flag := getattr(args, key, None)) is not None:
+            given[key] = flag
+    settings = {
+        name: _convert(name, given[name])
+        for name in SETTINGS
+        if given.get(name) is not None
+    }
+    return RunConfig(mode=mode, fmt=given.get("format", "text"), **settings)
 
 
 def _spec_of(config: RunConfig, *, table: bool) -> LocalSystemSpec:
@@ -247,12 +240,15 @@ def render_table_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tabular(columns: str, rows) -> str:
+    """A LaTeX tabular with column spec ``columns``, one line per row of cells."""
+    lines = "".join(" & ".join(map(str, row)) + " \\\\\n" for row in rows)
+    return f"\\begin{{tabular}}{{{columns}}}\n{lines}\\end{{tabular}}\n"
+
+
 def render_table_latex(doc: dict) -> str:
-    tables = doc["tables"]
-    out = []
-    out.append("\\begin{tabular}{rrll}")
-    out.append("$k$ & $\\dim H^k$ & weights & Hodge numbers \\\\")
-    for row in tables["H"]:
+    out = [["$k$", "$\\dim H^k$", "weights", "Hodge numbers"]]
+    for row in doc["tables"]["H"]:
         weights = (
             ", ".join(f"${w['weight']}\\colon {w['dim']}$" for w in row["weights"])
             or "--"
@@ -263,9 +259,8 @@ def render_table_latex(doc: dict) -> str:
             )
             or "--"
         )
-        out.append(f"${row['k']}$ & ${row['dim']}$ & {weights} & {hodge} \\\\")
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+        out.append([f"${row['k']}$", f"${row['dim']}$", weights, hodge])
+    return _tabular("rrll", out)
 
 
 def render_sheaf_text(doc: dict) -> str:
@@ -280,16 +275,14 @@ def render_sheaf_text(doc: dict) -> str:
 
 
 def render_sheaf_latex(doc: dict) -> str:
-    out = ["\\begin{tabular}{rrl}"]
-    out.append("$P$ & $l$ & $\\mathcal{C}^{P,l}$ \\\\")
+    out = [["$P$", "$l$", "$\\mathcal{C}^{P,l}$"]]
     for row in doc["tables"]["C"]:
         monos = " \\oplus ".join(
             f"${LineBundleMonomial(tuple(obj['exponents'])).latex()}$"
             for obj in row["monomials"]
         )
-        out.append(f"${row['p']}$ & ${row['l']}$ & {monos} \\\\")
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+        out.append([f"${row['p']}$", f"${row['l']}$", monos])
+    return _tabular("rrl", out)
 
 
 def render_eis_text(doc: dict) -> str:
@@ -298,20 +291,17 @@ def render_eis_text(doc: dict) -> str:
 
 
 def render_eis_latex(doc: dict) -> str:
-    out = ["\\begin{tabular}{rrll}"]
-    out.append("$k$ & $\\dim$ & $a$ & $(\\alpha,\\beta)$ \\\\")
+    out = [["$k$", "$\\dim$", "$a$", "$(\\alpha,\\beta)$"]]
     for row in doc["tables"]["Eis"]:
+        k, dim = f"${row['k']}$", f"${row['dim']}$"
         if not row["basis"]:
-            out.append(f"${row['k']}$ & ${row['dim']}$ & -- & -- \\\\")
+            out.append([k, dim, "--", "--"])
         for b in row["basis"]:
             members = ",".join(str(x) for x in b["a"])
             a = f"\\{{{members}\\}}" if members else "\\emptyset"
-            out.append(
-                f"${row['k']}$ & ${row['dim']}$ & ${a}$ & "
-                f"$({tuple(b['alpha'])},{tuple(b['beta'])})$ \\\\"
-            )
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+            pair = f"$({tuple(b['alpha'])},{tuple(b['beta'])})$"
+            out.append([k, dim, f"${a}$", pair])
+    return _tabular("rrll", out)
 
 
 def render_verify_text(doc: dict) -> str:
@@ -332,12 +322,7 @@ def render_verify_text(doc: dict) -> str:
 
 def render_verify_latex(doc: dict) -> str:
     s = doc["summary"]
-    out = ["\\begin{tabular}{lr}"]
-    out.append(f"passed & {s['passed']} \\\\")
-    out.append(f"failed & {s['failed']} \\\\")
-    out.append(f"skipped & {s['skipped']} \\\\")
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+    return _tabular("lr", [[key, s[key]] for key in ("passed", "failed", "skipped")])
 
 
 # -------------------------------------------------------------------- verbs
@@ -381,17 +366,22 @@ def _run_verify(config: RunConfig) -> int:
     return 0 if report.ok else 2
 
 
-_RUNNERS = {
-    "table": _run_table,
-    "sheaf-matrix": _run_sheaf_matrix,
-    "eisenstein": _run_eisenstein,
-    "verify": _run_verify,
+# each verb: its runner, its help text and the settings it reads
+VERBS = {
+    "table": (
+        _run_table, "full mixed Hodge structure table", ("n", "m", "cusps", "genus")
+    ),
+    "sheaf-matrix": (_run_sheaf_matrix, "closed-form cohomology sheaves", ("n", "m")),
+    "eisenstein": (
+        _run_eisenstein, "boundary cohomology data", ("n", "m", "cusps", "genus")
+    ),
+    "verify": (_run_verify, "run the cross-validation sweep", ("max_n", "max_m")),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one resolved configuration; returns the exit status."""
-    return _RUNNERS[config.mode](config)
+    return VERBS[config.mode][0](config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,31 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, spec=False, invariants=False, verify=False):
+    for verb, (_, help_text, names) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--format", choices=FORMATS, help="output format")
-        if spec:
-            p.add_argument("--n", type=_integer, help="number of factors")
-            p.add_argument("--m", help="comma-separated weights, e.g. 1,1")
-        if invariants:
-            p.add_argument("--cusps", type=_integer, help="number of cusps")
-            p.add_argument("--genus", type=_integer, help="geometric genus")
-        if verify:
-            p.add_argument("--max-n", type=_integer, help="sweep bound on n")
-            p.add_argument("--max-m", type=_integer, help="sweep bound on weights")
-
-    p = sub.add_parser("table", help="full mixed Hodge structure table")
-    add_common(p, spec=True, invariants=True)
-
-    p = sub.add_parser("sheaf-matrix", help="closed-form cohomology sheaves")
-    add_common(p, spec=True)
-
-    p = sub.add_parser("eisenstein", help="boundary cohomology data")
-    add_common(p, spec=True, invariants=True)
-
-    p = sub.add_parser("verify", help="run the cross-validation sweep")
-    add_common(p, verify=True)
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), help=SETTINGS[name])
     return parser
 
 

@@ -180,11 +180,18 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
     # factor j and the counts per degree of the Koszul complex on k factors,
     # built for the first block with k free factors, which has 2^k elements
     templates = {}
+    # the blocks, -1 <= s_i <= m_i with sum(s) = |m| - P, extended factor by
+    # factor in lexicographic order while the factors left can reach the sum
+    heads = [((), spec.weight - P)]  # (prefix of s, sum left to reach)
+    for i, mi in enumerate(m):
+        low, high = i + 1 - n, sum(m[i + 1 :])
+        heads = [
+            ((*head, si), left - si)
+            for head, left in heads
+            for si in range(max(-1, left - high), min(mi, left - low) + 1)
+        ]
     blocks, differentials = [], []
-    for head in product(*(range(-1, mi + 1) for mi in m[:-1])):
-        s = (*head, spec.weight - P - sum(head))
-        if not -1 <= s[-1] <= m[-1]:
-            continue
+    for s, _ in heads:
         z, coeffs = 0, []  # factors at s_i = -1, signed free coefficients
         for si, mi in zip(s, m):
             if si == -1:

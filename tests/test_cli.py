@@ -359,24 +359,32 @@ class TestConfigFile:
             assert "comma-separated" in err
 
     # int() would also read digit-group underscores, surrounding spaces and
-    # non-ASCII digits: " 2", "1_0" and "\u0662" would run as 2, 10 and 2
+    # non-ASCII digits: " 2", "1_0" and "\u0662" would run as 2, 10 and 2; a
+    # flag is refused with the message of the same value in a config file
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["table", "--n", " 2", "--m", "1,1", "--cusps", "1", "--genus", "1"],
-            ["table", "--n", "2", "--m", " 1,1", "--cusps", "1", "--genus", "1"],
-            ["table", "--n", "2", "--m", "1,1_0", "--cusps", "1", "--genus", "1"],
-            ["table", "--n", "2", "--m", "1,1", "--cusps", "1_0", "--genus", "1"],
-            ["table", "--n", "2", "--m", "1,1", "--cusps", "1", "--genus", "\u0662"],
-            ["verify", "--max-n", "2 ", "--max-m", "1"],
-            ["verify", "--max-n", "2", "--max-m", "+\u0661"],
+            (["table", "--n", " 2", "--m", "1,1", "--cusps", "1", "--genus", "1"],
+             "setting n must be an integer, got ' 2'"),
+            (["table", "--n", "2", "--m", " 1,1", "--cusps", "1", "--genus", "1"],
+             "--m expects a comma-separated integer list, got ' 1,1'"),
+            (["table", "--n", "2", "--m", "1,1_0", "--cusps", "1", "--genus", "1"],
+             "--m expects a comma-separated integer list, got '1,1_0'"),
+            (["table", "--n", "2", "--m", "1,1", "--cusps", "1_0", "--genus", "1"],
+             "setting cusps must be an integer, got '1_0'"),
+            (["table", "--n", "2", "--m", "1,1", "--cusps", "1", "--genus", "\u0662"],
+             "setting genus must be an integer, got '\u0662'"),
+            (["verify", "--max-n", "2 ", "--max-m", "1"],
+             "setting max_n must be an integer, got '2 '"),
+            (["verify", "--max-n", "2", "--max-m", "+\u0661"],
+             "setting max_m must be an integer, got '+\u0661'"),
         ],
         ids=["n-space", "m-space", "m-underscore", "cusps-underscore",
              "genus-arabic-indic", "max-n-space", "max-m-arabic-indic"],
     )
-    def test_int_spellings_beyond_ascii_digits_refused(self, capsys, argv):
-        code, out, _ = run(capsys, *argv)
-        assert (code, out) == (1, "")
+    def test_int_spellings_beyond_ascii_digits_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_unknown_config_key_refused(self, capsys, tmp_path):
         # a misspelt bound must not fall back to the default sweep

@@ -1,6 +1,7 @@
 """Oracle-side tests: explicit small complexes against hand computations,
 then the structural sweeps (chain property, grading, Euler bookkeeping)."""
 
+import time
 from itertools import combinations, product
 
 import pytest
@@ -165,7 +166,7 @@ class TestOracleCap:
         def unbuildable(*args, **kwargs):
             raise AssertionError("the block loop started")
 
-        # the block loop enumerates the blocks with higgs.product
+        # the first block builds its Koszul template with higgs.product
         monkeypatch.setattr(higgs, "product", unbuildable)
         spec = validate_spec(6, (3,) * 6)
         with pytest.raises(AssertionError, match="the block loop started"):
@@ -251,6 +252,16 @@ class TestDefiningFormula:
                     assert len(set(term)) == len(term), (spec.m, P, l)
                     assert set(term) == elements[l], (spec.m, P, l)
                 assert global_entries(cx) == entries, (spec.m, P)
+
+    def test_blocks_enumerated_from_their_sum(self):
+        # P = 1 of m = (1,)*16 has 16 blocks, each s one 0 among 15 ones; a
+        # loop over all 3^15 heads of s took seconds to find them
+        start = time.perf_counter()
+        cx = build_log_higgs_complex(validate_spec(16, (1,) * 16), 1)
+        assert time.perf_counter() - start < 1
+        blocks = [s for s, _ in cx.blocks]
+        assert blocks == sorted(blocks) and len(blocks) == cx.total_size // 2 == 16
+        assert all(sorted(s) == [0] + [1] * 15 for s in blocks)
 
 
 class TestIndependence:

@@ -3,6 +3,7 @@ package's encoder writes exactly what the stdlib's ``json.dumps`` writes."""
 
 import json
 import re
+import reprlib
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -87,8 +88,11 @@ def test_reader_refuses_labels_no_table_makes(capsys, key, value):
     tables_from_document(doc)  # as written, the document is read back
     record = doc["tables"]["H"][2]["grF"][0]["labels"][0]
     record[key] = value
-    with pytest.raises(ValueError, match=re.escape(str(record))):
+    with pytest.raises(ValueError, match=re.escape(reprlib.repr(record))):
         tables_from_document(doc)
+
+
+MISSING = object()  # the key is deleted rather than set
 
 
 @pytest.mark.parametrize(
@@ -132,6 +136,14 @@ def test_reader_refuses_labels_no_table_makes(capsys, key, value):
         (("tables", "C"), [], ValueError, None),
         (("tables", "H", 2, "hodge"), [{"dim": 8, "p": 0, "q": 4},
          {"dim": 16, "p": 2, "q": 2}, {"dim": 8, "p": 4, "q": 0}], ValueError, None),
+        # a missing key, or a number where a list belongs, read before the build
+        (("tables", "H", 2, "grF"), MISSING, ValueError,
+         "not a table document: KeyError('grF')"),
+        (("invariants",), MISSING, ValueError,
+         "not a table document: KeyError('invariants')"),
+        (("tables", "H"), 5, ValueError, "not a table document: TypeError("),
+        (("tables", "H", 2, "grF", 0, "labels"), 7, ValueError,
+         "not a table document: TypeError("),
     ],
 )
 def test_reader_refuses_values_no_table_makes(capsys, path, value, error, message):
@@ -142,9 +154,12 @@ def test_reader_refuses_values_no_table_makes(capsys, path, value, error, messag
     tables_from_document(doc)  # as written, the document is read back
     *parents, key = path
     record = reduce(getitem, parents, doc)
-    record[key] = value
-    # a refused record is named in full
-    with pytest.raises(error, match=re.escape(message or str(record))):
+    if value is MISSING:
+        del record[key]
+    else:
+        record[key] = value
+    # a refused record is named, abbreviated as its values are
+    with pytest.raises(error, match=re.escape(message or reprlib.repr(record))):
         tables_from_document(doc)
 
 
