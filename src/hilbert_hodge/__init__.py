@@ -54,48 +54,3 @@ from .tables import (
     mhs_table,
     sheaf_cohomology_dim,
 )
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BadDegree",
-    "BadHodgeIndex",
-    "CheckReport",
-    "CheckResult",
-    "ConfigError",
-    "DictionaryMiss",
-    "EisensteinDatum",
-    "HiggsBasisElement",
-    "HiggsChainComplex",
-    "HilbertHodgeError",
-    "IhTable",
-    "InconsistentInvariants",
-    "IncompatibleRank",
-    "LineBundleMonomial",
-    "LocalSystemSpec",
-    "MhsRow",
-    "MhsTable",
-    "OracleSizeExceeded",
-    "SheafMatrix",
-    "SweepBounds",
-    "TrivialSystem",
-    "VarietyInvariants",
-    "build_log_higgs_complex",
-    "check_euler_ih",
-    "check_hrr",
-    "check_oracle_equivalence",
-    "check_subset_counts",
-    "check_table_identities",
-    "cohomology_sheaf_closed_form",
-    "count_N",
-    "eisenstein_data",
-    "full_homology",
-    "gr_F_labels",
-    "homology",
-    "ih_table",
-    "mhs_table",
-    "run_verification",
-    "sheaf_cohomology_dim",
-    "validate_spec",
-    "weight_counts",
-]

@@ -1,10 +1,11 @@
 """Batch front-end: assemble tables or run the verification sweep.
 
 ``VERBS`` names each verb with its runner, its help text and the
-``SETTINGS`` it reads; the parser, the dispatch and the config keys are all
-built from these two tables.  Inputs come from flags or a JSON config file
-(flags win), both read by one rule.  Output is text, JSON (canonical:
-sorted keys, sorted arrays) or a LaTeX tabular fragment.
+``SETTINGS`` it reads; the parser, the dispatch and the config keys each
+verb accepts are all built from these two tables.  Inputs come from flags
+or a JSON config file (flags win), both read by one rule, and a verb
+refuses from either a setting it does not read.  Output is text, JSON
+(canonical: sorted keys, sorted arrays) or a LaTeX tabular fragment.
 Exit status: 0 on success, 1 on a validation/configuration error or an
 output over ``OUTPUT_BUDGET``, 2 when a verification check fails.
 """
@@ -46,7 +47,6 @@ SETTINGS = {
     "max_n": "sweep bound on n",
     "max_m": "sweep bound on weights",
 }
-CONFIG_KEYS = ("format", *SETTINGS)
 # most labels (table), monomials (sheaf-matrix) or boundary classes
 # (eisenstein) one run may emit: this admits n <= 15 for table, n <= 19 for
 # sheaf-matrix and n <= 20 for eisenstein
@@ -85,29 +85,6 @@ class RunConfig:
                 raise ConfigError(f"missing required setting --{name}")
 
 
-def _integer(value) -> int:
-    """An int, or a string of ASCII digits with an optional sign: a bool, a
-    float (even ``2.0``) and ``int()``'s other spellings (``1_0``, ``" 2"``,
-    non-ASCII digits) are refused."""
-    if type(value) is int or type(value) is str and re.fullmatch("[+-]?[0-9]+", value):
-        return int(value)
-    raise ValueError(f"{value!r} is not an integer")
-
-
-def _parse_m(value) -> tuple[int, ...]:
-    if not isinstance(value, (str, list, tuple)):
-        raise ConfigError(f"bad weight list {value!r}")
-    if isinstance(value, (list, tuple)):
-        try:
-            return tuple(_integer(x) for x in value)
-        except ValueError:
-            raise ConfigError(f"bad weight list {value!r}")
-    try:
-        return tuple(_integer(part) for part in value.split(","))
-    except ValueError:
-        raise ConfigError(f"--m expects a comma-separated integer list, got {value!r}")
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -120,34 +97,45 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = ", ".join(repr(key) for key in sorted(set(cfg) - set(CONFIG_KEYS)))
-    if unknown:
-        raise ConfigError(f"config file names no setting {unknown}")
     return cfg
 
 
 def _convert(name: str, value):
-    """A setting's value, from a flag's string or a config value alike."""
+    """A setting's value, from a flag's string or a config value alike.  An
+    integer is an int or a string of ASCII digits with an optional sign: a
+    bool, a float (even ``2.0``) and ``int()``'s other spellings (``1_0``,
+    ``" 2"``, non-ASCII digits) are refused.  ``m`` is a list of integers or
+    a comma-separated string of them."""
+    parts = [value]
     if name == "m":
-        return _parse_m(value)
+        parts = value.split(",") if isinstance(value, str) else value
     try:
-        return _integer(value)
+        if isinstance(parts, list) and all(
+            type(x) is int or type(x) is str and re.fullmatch("[+-]?[0-9]+", x)
+            for x in parts
+        ):
+            ints = tuple(map(int, parts))  # ValueError past int()'s digit limit
+            return ints if name == "m" else ints[0]
     except ValueError:
-        raise ConfigError(f"setting {name} must be an integer, got {value!r}")
+        pass
+    what = "a comma-separated integer list" if name == "m" else "an integer"
+    raise ConfigError(f"setting {name} must be {what}, got {value!r}")
 
 
 def resolve_config(args, mode: str) -> RunConfig:
-    """Merge flags over the optional config file into one RunConfig; a value
-    that is absent or null leaves its setting unset."""
+    """Merge flags over the optional config file into one RunConfig.  The file
+    may name ``format`` and the verb's own settings, nothing else.  A value
+    that is absent or null leaves its setting unset: for ``format``, text."""
+    keys = ("format", *VERBS[mode][2])
     given = _load_config(getattr(args, "config", None))
-    for key in CONFIG_KEYS:
+    unknown = ", ".join(repr(key) for key in sorted(set(given) - set(keys)))
+    if unknown:
+        raise ConfigError(f"config file names no setting {unknown} of {mode}")
+    for key in keys:
         if (flag := getattr(args, key, None)) is not None:
             given[key] = flag
-    settings = {
-        name: _convert(name, given[name])
-        for name in SETTINGS
-        if given.get(name) is not None
-    }
+    given = {key: value for key, value in given.items() if value is not None}
+    settings = {name: _convert(name, given[name]) for name in keys[1:] if name in given}
     return RunConfig(mode=mode, fmt=given.get("format", "text"), **settings)
 
 

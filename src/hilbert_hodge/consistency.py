@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from itertools import groupby, product as iter_product
 from math import comb
 
-from .errors import ConfigError, InconsistentInvariants, OracleSizeExceeded
+from . import higgs
+from .errors import ConfigError, InconsistentInvariants
 from .higgs import build_log_higgs_complex, homology
 from .kunneth import cohomology_sheaf_closed_form, count_N, weight_counts
 from .model import LocalSystemSpec, VarietyInvariants, validate_spec
@@ -84,16 +85,26 @@ class CheckReport:
 
 SWEEP_GENERA = (0, 1, 2, 3)  # the genus and cusp grids of every table sweep
 SWEEP_CUSPS = (1, 2, 5)
+RESULT_BUDGET = 10**5  # results per sweep: admits --max-n 1 --max-m 443 (14 s)
+
+
+def sweep_invariants(n: int):
+    """The invariants on the genus and cusp grids that dimension n admits."""
+    for g, h in iter_product(SWEEP_GENERA, SWEEP_CUSPS):
+        try:
+            inv = VarietyInvariants(n, h, g)
+        except InconsistentInvariants:
+            continue
+        yield inv
 
 
 @dataclass(frozen=True)
 class SweepBounds:
-    """Bounds of the default verification sweep; well under a minute in CI.
-
-    Table checks run for every non-trivial system with ``2 <= n <= max_n``
-    and weights up to ``max_m`` over the genus and cusp grids; the homology
-    oracle additionally covers ``n = 1`` (engine-only degenerate case) and
-    skips each slice over the fixed ``higgs.ORACLE_CAP``.
+    """Bounds of the verification sweep: table checks for every non-trivial
+    system with ``2 <= n <= max_n`` and weights up to ``max_m`` over the
+    genus and cusp grids, and the homology oracle also at ``n = 1``.  A sweep
+    over ``higgs.ORACLE_CAP`` basis elements in all, or over ``RESULT_BUDGET``
+    results, is refused before any work.
     """
 
     max_n: int = 4
@@ -105,6 +116,29 @@ class SweepBounds:
             raise ConfigError(f"max_n must be >= 1, got {self.max_n}")
         if self.max_m < 0:
             raise ConfigError(f"max_m must be >= 0, got {self.max_m}")
+        n, elements, _, results = self.sizes()
+        if elements > higgs.ORACLE_CAP or results > RESULT_BUDGET:
+            raise ConfigError(
+                f"sweep too large: up to n = {n} it builds {elements} basis elements "
+                f"(cap {higgs.ORACLE_CAP}) and records {results} results "
+                f"(budget {RESULT_BUDGET})"
+            )
+
+    def sizes(self) -> tuple[int, int, int, int]:
+        """``(n, elements, tables, results)`` in closed form, summed up to
+        ``max_n`` or to the first ``n`` whose sum passes ``higgs.ORACLE_CAP``."""
+        w = self.max_m + 1  # weights per factor
+        elements = tables = results = 0
+        for n in range(1, self.max_n + 1):
+            elements += (w * (w + 1)) ** n
+            # |m| + n + 1 slices and one chain check per system
+            results += w**n * (n * (w + 1) + 4) // 2
+            if n >= 2:  # three subset counts per non-trivial system
+                tables += (w**n - 1) * len(list(sweep_invariants(n)))
+                results += 3 * (w**n - 1)
+            if elements > higgs.ORACLE_CAP:
+                break
+        return n, elements, tables, results + 3 * tables  # three per table
 
 
 def _iter_weights(n: int, max_m: int):
@@ -128,11 +162,10 @@ def _cell_list(sorted_cells) -> list[str]:
 def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
     """Homology of every slice equals the closed form, cell by cell.
 
-    One result per (n, m, P); a slice over the size cap is refused before it
-    is built and recorded as skipped, not failed, and an assertion inside
-    ``homology`` as a failure of that result.  The chain property of every
-    complex is checked alongside, one aggregated result per (n, m), which is
-    skipped when the cap refused any slice of that system.
+    One result per (n, m, P); an assertion inside ``homology`` is a failure
+    of that result.  The chain property of every complex is checked
+    alongside, one aggregated result per (n, m).  ``SweepBounds`` has refused
+    any sweep over the oracle cap, so every slice is built.
     """
     report = CheckReport()
     for n in range(1, bounds.max_n + 1):
@@ -140,15 +173,9 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
             spec = validate_spec(n, m)
             closed = cohomology_sheaf_closed_form(spec).sorted_cells()
             chain_ok = True
-            refused = 0
             for P in range(spec.weight + spec.n + 1):
                 params = _fmt(spec, P=P)
-                try:
-                    cx = build_log_higgs_complex(spec, P)
-                except OracleSizeExceeded as exc:
-                    refused += 1
-                    report.skip("oracle_equivalence", params, str(exc))
-                    continue
+                cx = build_log_higgs_complex(spec, P)
                 try:
                     cx.verify_chain_property()
                     cx.verify_monomial_grading()
@@ -164,11 +191,7 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
                 have = _cell_list(got.sorted_cells())
                 want = _cell_list(cell for cell in closed if cell[0][0] == P)
                 report.record("oracle_equivalence", params, have, want)
-            if chain_ok and refused:
-                total = spec.weight + spec.n + 1
-                reason = f"oracle cap refused {refused} of {total} slices"
-                report.skip("chain_property", _fmt(spec), reason)
-            elif chain_ok:
+            if chain_ok:
                 report.record("chain_property", _fmt(spec), 0, 0)
     return report
 
@@ -264,17 +287,13 @@ def check_table_identities(
 def iter_table_inputs(bounds: SweepBounds):
     """All valid (spec, invariants) pairs inside the sweep bounds."""
     for n in range(2, bounds.max_n + 1):
+        invariants = list(sweep_invariants(n))
         for m in _iter_weights(n, bounds.max_m):
             if all(mi == 0 for mi in m):
                 continue
             spec = validate_spec(n, m, table=True)
-            for g in SWEEP_GENERA:
-                for h in SWEEP_CUSPS:
-                    try:
-                        inv = VarietyInvariants(n, h, g)
-                    except InconsistentInvariants:
-                        continue
-                    yield spec, inv
+            for inv in invariants:
+                yield spec, inv
 
 
 def run_verification(bounds: SweepBounds) -> CheckReport:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbert_hodge import SweepBounds, cli, higgs, tables
+from hilbert_hodge import SweepBounds, cli, consistency, higgs, tables
 from hilbert_hodge.consistency import CheckReport, iter_table_inputs
 
 
@@ -241,35 +241,34 @@ class TestVerifyVerb:
         assert code == 2
         assert "FAILED" in out
 
-    def test_reached_cap_skips(self, capsys, monkeypatch):
-        monkeypatch.setattr(higgs, "ORACLE_CAP", 1)
-        doc = run_json(
-            capsys, "verify", "--max-n", "2", "--max-m", "2", "--format", "json"
-        )
-        assert doc["summary"]["skipped"] > 0
-        assert doc["summary"]["ok"] is True
+    def test_reached_cap_refuses_the_sweep(self, capsys, monkeypatch):
+        # the sweep up to n = 2 with weights up to 2 builds 156 basis elements
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 155)
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--max-m", "2")
+        assert (code, out) == (1, "")
+        assert "156 basis elements (cap 155)" in err
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 156)
+        assert run(capsys, "verify", "--max-n", "2", "--max-m", "2")[0] == 0
 
-    def test_reached_cap_leaves_no_chain_property_pass(self, capsys, monkeypatch):
-        # with cap 1 only n=1, m=(0,) has every slice (two of size 1) built;
-        # every other system has a refused slice, so its chain property
-        # cannot be reported as passing
-        monkeypatch.setattr(higgs, "ORACLE_CAP", 1)
-        doc = run_json(
-            capsys, "verify", "--max-n", "2", "--max-m", "1", "--format", "json"
-        )
-        chain = {
-            c["params"]: (c["status"], c["lhs"])
-            for c in doc["checks"]
-            if c["name"] == "chain_property"
-        }
-        assert chain == {
-            "n=1 m=(0,)": ("pass", "0"),
-            "n=1 m=(1,)": ("skip", "oracle cap refused 1 of 3 slices"),
-            "n=2 m=(0, 0)": ("skip", "oracle cap refused 1 of 3 slices"),
-            "n=2 m=(0, 1)": ("skip", "oracle cap refused 2 of 4 slices"),
-            "n=2 m=(1, 0)": ("skip", "oracle cap refused 2 of 4 slices"),
-            "n=2 m=(1, 1)": ("skip", "oracle cap refused 3 of 5 slices"),
-        }
+    @pytest.mark.parametrize(
+        "max_n, max_m, sizes",
+        [
+            ("30", "3", "up to n = 5 it builds 3368420 basis elements (cap 1000000) "
+             "and records 61768 results (budget 100000)"),
+            ("1", "998", "up to n = 1 it builds 999000 basis elements (cap 1000000) "
+             "and records 501498 results (budget 100000)"),
+        ],
+        ids=["over-the-cap", "over-the-result-budget"],
+    )
+    def test_oversized_sweep_refused_before_any_work(
+        self, capsys, monkeypatch, max_n, max_m, sizes
+    ):
+        def started(bounds):
+            pytest.fail("the oracle sweep started")
+
+        monkeypatch.setattr(consistency, "check_oracle_equivalence", started)
+        code, out, err = run(capsys, "verify", "--max-n", max_n, "--max-m", max_m)
+        assert (code, out, err) == (1, "", f"error: sweep too large: {sizes}\n")
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -322,6 +321,20 @@ class TestRunConfig:
         assert code == 1
         assert "format" in err
 
+    def test_null_config_format_means_text(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": None, "n": 2, "m": [1, 1]}))
+        text = run(capsys, "sheaf-matrix", "--n", "2", "--m", "1,1")
+        assert text[0] == 0
+        assert run(capsys, "sheaf-matrix", "--config", str(cfg)) == text
+
+    @pytest.mark.parametrize("value", ["", False, 0, "TEXT"])
+    def test_other_config_formats_refused(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": value, "n": 2, "m": [1, 1]}))
+        code, out, err = run(capsys, "sheaf-matrix", "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: unknown format {value!r}\n")
+
 
 class TestConfigFile:
     def test_config_supplies_fields(self, capsys, tmp_path):
@@ -367,9 +380,9 @@ class TestConfigFile:
             (["table", "--n", " 2", "--m", "1,1", "--cusps", "1", "--genus", "1"],
              "setting n must be an integer, got ' 2'"),
             (["table", "--n", "2", "--m", " 1,1", "--cusps", "1", "--genus", "1"],
-             "--m expects a comma-separated integer list, got ' 1,1'"),
+             "setting m must be a comma-separated integer list, got ' 1,1'"),
             (["table", "--n", "2", "--m", "1,1_0", "--cusps", "1", "--genus", "1"],
-             "--m expects a comma-separated integer list, got '1,1_0'"),
+             "setting m must be a comma-separated integer list, got '1,1_0'"),
             (["table", "--n", "2", "--m", "1,1", "--cusps", "1_0", "--genus", "1"],
              "setting cusps must be an integer, got '1_0'"),
             (["table", "--n", "2", "--m", "1,1", "--cusps", "1", "--genus", "\u0662"],
@@ -401,6 +414,50 @@ class TestConfigFile:
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert (code, out) == (1, "")
         assert "config file names no setting 'oracle_cap'" in err
+
+    # a config file names format and the verb's own settings only, as its
+    # flags do; the last two hold a setting of another verb that was once
+    # read and ignored (sheaf-matrix ran) or converted (verify refused 'x')
+    @pytest.mark.parametrize(
+        "verb, settings, key",
+        [
+            ("table", {"n": 2, "m": [1, 1], "cusps": 1, "genus": 1, "max_n": 2},
+             "'max_n'"),
+            ("eisenstein", {"n": 2, "m": [1, 1], "cusps": 1, "genus": 1, "max_m": 1},
+             "'max_m'"),
+            ("sheaf-matrix", {"n": 2, "m": [1, 1], "max_n": 2, "max_m": 1},
+             "'max_m', 'max_n'"),
+            ("verify", {"max_n": 1, "max_m": 0, "cusps": "x"}, "'cusps'"),
+        ],
+        ids=["table", "eisenstein", "sheaf-matrix", "verify"],
+    )
+    def test_setting_of_another_verb_refused(
+        self, capsys, tmp_path, verb, settings, key
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(settings))
+        code, out, err = run(capsys, verb, "--config", str(cfg))
+        assert (code, out, err) == (
+            1, "", f"error: config file names no setting {key} of {verb}\n"
+        )
+
+    def test_each_verb_accepts_format_and_its_own_settings(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run", lambda config: 0)
+        cfg = tmp_path / "run.json"
+        accepted = {}
+        for verb in cli.VERBS:
+            for key in ("format", *cli.SETTINGS):
+                cfg.write_text(json.dumps({key: None}))
+                if run(capsys, verb, "--config", str(cfg))[0] == 0:
+                    accepted.setdefault(verb, []).append(key)
+        assert accepted == {
+            "table": ["format", "n", "m", "cusps", "genus"],
+            "sheaf-matrix": ["format", "n", "m"],
+            "eisenstein": ["format", "n", "m", "cusps", "genus"],
+            "verify": ["format", "max_n", "max_m"],
+        }
 
     def test_unreadable_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "--config", str(tmp_path / "absent.json"))
@@ -435,17 +492,24 @@ class TestConfigFile:
         [
             ("n", 2.9, "error: setting n must be an integer, got 2.9\n"),
             ("cusps", True, "error: setting cusps must be an integer, got True\n"),
-            ("m", [1.7, 1], "error: bad weight list [1.7, 1]\n"),
-            ("m", [True, 1], "error: bad weight list [True, 1]\n"),
-            ("m", 11, "error: bad weight list 11\n"),
+            ("m", [1.7, 1], "error: setting m must be a comma-separated integer "
+             "list, got [1.7, 1]\n"),
+            ("m", [True, 1], "error: setting m must be a comma-separated integer "
+             "list, got [True, 1]\n"),
+            ("m", 11, "error: setting m must be a comma-separated integer "
+             "list, got 11\n"),
             ("n", " 2", "error: setting n must be an integer, got ' 2'\n"),
             ("genus", "1_0", "error: setting genus must be an integer, got '1_0'\n"),
-            ("m", ["1_0", 1], "error: bad weight list ['1_0', 1]\n"),
-            ("m", "\u0661,1", "error: --m expects a comma-separated integer list, "
-             "got '\u0661,1'\n"),
+            ("m", ["1_0", 1], "error: setting m must be a comma-separated integer "
+             "list, got ['1_0', 1]\n"),
+            ("m", "\u0661,1", "error: setting m must be a comma-separated integer "
+             "list, got '\u0661,1'\n"),
+            ("n", "9" * 5000,
+             f"error: setting n must be an integer, got '{'9' * 5000}'\n"),
         ],
         ids=["n-fraction", "cusps-bool", "m-fraction", "m-bool", "m-number",
-             "n-space", "genus-underscore", "m-underscore", "m-arabic-indic"],
+             "n-space", "genus-underscore", "m-underscore", "m-arabic-indic",
+             "n-past-int-digit-limit"],
     )
     def test_non_integer_json_number_refused(
         self, capsys, tmp_path, setting, value, message

@@ -1,16 +1,21 @@
 """The cross-validation suite itself: frozen hand values and sweep behavior."""
 
+from itertools import product
+from time import perf_counter
+
 import pytest
 
 from hilbert_hodge import (
     CheckReport,
     CheckResult,
+    ConfigError,
     SweepBounds,
     VarietyInvariants,
     check_euler_ih,
     check_hrr,
     check_oracle_equivalence,
     check_table_identities,
+    build_log_higgs_complex,
     ih_table,
     mhs_table,
     run_verification,
@@ -177,11 +182,48 @@ class TestOracleEquivalenceCheck:
         assert all(r.status == "fail" for r in failures)
         assert "negative dimension" in failures[0].lhs
 
-    def test_cap_produces_skips_not_failures(self, monkeypatch):
+    def test_lowered_cap_refuses_the_sweep_before_any_complex(self, monkeypatch):
+        def built(*args):
+            pytest.fail("a complex was built")
+
+        monkeypatch.setattr(consistency, "build_log_higgs_complex", built)
         monkeypatch.setattr(higgs, "ORACLE_CAP", 1)
-        report = check_oracle_equivalence(SweepBounds(max_n=2, max_m=2))
-        assert report.ok
-        assert any(r.status == "skip" for r in report.results)
+        with pytest.raises(ConfigError, match=r"12 basis elements \(cap 1\)"):
+            check_oracle_equivalence(SweepBounds(max_n=2, max_m=2))
+
+
+class TestSweepSizes:
+    def test_closed_form_sizes_equal_the_built_counts(self):
+        start = perf_counter()
+        for max_n, max_m in product(range(1, 4), range(3)):
+            bounds = SweepBounds(max_n, max_m)
+            elements = sum(
+                build_log_higgs_complex(spec, P).total_size
+                for n in range(1, max_n + 1)
+                for m in product(range(max_m + 1), repeat=n)
+                for spec in [validate_spec(n, m)]
+                for P in range(spec.weight + n + 1)
+            )
+            tables = len(list(iter_table_inputs(bounds)))
+            results = len(run_verification(bounds).results)
+            assert bounds.sizes() == (max_n, elements, tables, results)
+        assert perf_counter() - start < 2
+
+    def test_default_and_benchmark_sweeps(self):
+        assert SweepBounds().sizes() == (4, 168_420, 3_807, 16_230)
+        assert SweepBounds(4, 2).sizes() == (4, 22_620, 1_290, 5_304)
+        assert SweepBounds(7, 1).sizes() == (7, 335_922, 2_457, 10_924)
+
+    def test_result_budget_edge(self):
+        assert SweepBounds(1, 443).sizes()[3] == 99_678
+        with pytest.raises(ConfigError, match="records 100125 results"):
+            SweepBounds(1, 444)
+
+    def test_sizes_stop_at_the_first_dimension_over_the_cap(self):
+        # 2^20 - 2 elements up to n = 19: no huge power is summed for the
+        # rest of a billion dimensions
+        with pytest.raises(ConfigError, match="up to n = 19 it builds 1048574 "):
+            SweepBounds(10**9, 0)
 
 
 class TestReportMechanics:

@@ -188,7 +188,7 @@ class TestOracleCap:
 
     def test_default_cap_is_reachable(self):
         # the largest slice of m = (0,)*n is C(n, n // 2): within the cap at
-        # n = 22 and over it at n = 23, so verify --max-m 0 --max-n 23 skips
+        # n = 22 and over it at n = 23 (verify refuses such a sweep beforehand)
         narrow, wide = validate_spec(22, (0,) * 22), validate_spec(23, (0,) * 23)
         assert max(slice_size(narrow, P) for P in range(23)) == 705_432
         assert max(slice_size(wide, P) for P in range(24)) == 1_352_078
