@@ -1,13 +1,14 @@
 """Batch front-end: assemble tables or run the verification sweep.
 
-``VERBS`` names each verb with its runner, its help text and the
-``SETTINGS`` it reads; the parser, the dispatch and the config keys each
-verb accepts are all built from these two tables.  Inputs come from flags
-or a JSON config file (flags win), both read by one rule, and a verb
-refuses from either a setting it does not read.  Output is text, JSON
-(canonical: sorted keys, sorted arrays) or a LaTeX tabular fragment.
-Exit status: 0 on success, 1 on a validation/configuration error or an
-output over ``OUTPUT_BUDGET``, 2 when a verification check fails.
+``VERBS`` names each verb with its runner, its help text, the ``SETTINGS``
+it reads and whether it requires them; the parser, the config keys each
+verb accepts and the dispatch are built from these two tables.  One step,
+``resolve_config``, reads flags and a JSON config file (flags win) by one
+rule into the output format and the settings, which ``main`` hands to the
+runner as keywords.  Output is text, JSON (canonical: sorted keys, sorted
+arrays) or a LaTeX tabular fragment.  Exit status: 0 on success, 1 on a
+validation/configuration error or an output over ``OUTPUT_BUDGET``, 2 when
+a verification check fails.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .consistency import SweepBounds, run_verification
 from .errors import ConfigError, HilbertHodgeError, OutputTooLarge
 from .kunneth import cohomology_sheaf_closed_form
 from .model import (
     LineBundleMonomial,
-    LocalSystemSpec,
     VarietyInvariants,
     label_text,
     validate_spec,
@@ -54,35 +53,6 @@ OUTPUT_BUDGET = 10**6
 # characters per write to stdout, 1 MiB of the ASCII output: the stream then
 # never encodes a second copy of a large output at once
 _WRITE_SLICE = 2**20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved invocation: mode plus the fields it needs.
-
-    Built from flags merged over an optional JSON config file; the
-    mode-specific required fields are validated before any computation.
-    """
-
-    mode: str
-    fmt: str = "text"
-    n: int | None = None
-    m: tuple[int, ...] | None = None
-    cusps: int | None = None
-    genus: int | None = None
-    max_n: int | None = None
-    max_m: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in VERBS:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.fmt not in FORMATS:
-            raise ConfigError(f"unknown format {self.fmt!r}")
-
-    def require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise ConfigError(f"missing required setting --{name}")
 
 
 def _load_config(path: str | None) -> dict:
@@ -122,31 +92,28 @@ def _convert(name: str, value):
     raise ConfigError(f"setting {name} must be {what}, got {value!r}")
 
 
-def resolve_config(args, mode: str) -> RunConfig:
-    """Merge flags over the optional config file into one RunConfig.  The file
-    may name ``format`` and the verb's own settings, nothing else.  A value
-    that is absent or null leaves its setting unset: for ``format``, text."""
-    keys = ("format", *VERBS[mode][2])
+def resolve_config(args, verb: str) -> tuple[str, dict]:
+    """Merge flags over the optional config file, which may name ``format``
+    and the verb's settings only, into the format (text if unset or null) and
+    the converted settings; a required setting left unset is refused here."""
+    _, _, names, required = VERBS[verb]
+    keys = ("format", *names)
     given = _load_config(getattr(args, "config", None))
     unknown = ", ".join(repr(key) for key in sorted(set(given) - set(keys)))
     if unknown:
-        raise ConfigError(f"config file names no setting {unknown} of {mode}")
+        raise ConfigError(f"config file names no setting {unknown} of {verb}")
     for key in keys:
         if (flag := getattr(args, key, None)) is not None:
             given[key] = flag
     given = {key: value for key, value in given.items() if value is not None}
-    settings = {name: _convert(name, given[name]) for name in keys[1:] if name in given}
-    return RunConfig(mode=mode, fmt=given.get("format", "text"), **settings)
-
-
-def _spec_of(config: RunConfig, *, table: bool) -> LocalSystemSpec:
-    config.require("n", "m")
-    return validate_spec(config.n, config.m, table=table)
-
-
-def _invariants_of(config: RunConfig, n: int) -> VarietyInvariants:
-    config.require("cusps", "genus")
-    return VarietyInvariants(n, config.cusps, config.genus)
+    settings = {name: _convert(name, given[name]) for name in names if name in given}
+    fmt = given.get("format", "text")
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
+    for name in names:
+        if required and name not in settings:
+            raise ConfigError(f"missing required setting --{name}")
+    return fmt, settings
 
 
 def _check_output_size(count: int, what: str) -> None:
@@ -316,60 +283,59 @@ def render_verify_latex(doc: dict) -> str:
 # -------------------------------------------------------------------- verbs
 
 
-def _run_table(config: RunConfig) -> int:
-    spec = _spec_of(config, table=True)
-    inv = _invariants_of(config, spec.n)
-    _check_output_size(gr_f_label_count(spec.n), "Gr_F labels")
+def _run_table(fmt: str, n: int, m: tuple[int, ...], cusps: int, genus: int) -> int:
+    spec = validate_spec(n, m, table=True)
+    inv = VarietyInvariants(n, cusps, genus)
+    _check_output_size(gr_f_label_count(n), "Gr_F labels")
     mhs = mhs_table(spec, inv)
     doc = table_document(spec, inv, mhs, mhs.ih, mhs.eis)
-    _emit(doc, config.fmt, render_table_text, render_table_latex)
+    _emit(doc, fmt, render_table_text, render_table_latex)
     return 0
 
 
-def _run_sheaf_matrix(config: RunConfig) -> int:
-    spec = _spec_of(config, table=False)
-    _check_output_size(2**spec.n, "monomials")
+def _run_sheaf_matrix(fmt: str, n: int, m: tuple[int, ...]) -> int:
+    spec = validate_spec(n, m, table=False)
+    _check_output_size(2**n, "monomials")
     doc = sheaf_matrix_document(spec, cohomology_sheaf_closed_form(spec))
-    _emit(doc, config.fmt, render_sheaf_text, render_sheaf_latex)
+    _emit(doc, fmt, render_sheaf_text, render_sheaf_latex)
     return 0
 
 
-def _run_eisenstein(config: RunConfig) -> int:
-    spec = _spec_of(config, table=True)
-    inv = _invariants_of(config, spec.n)
-    classes = 2 ** (spec.n - 1) if spec.is_parallel else 0
+def _run_eisenstein(
+    fmt: str, n: int, m: tuple[int, ...], cusps: int, genus: int
+) -> int:
+    spec = validate_spec(n, m, table=True)
+    inv = VarietyInvariants(n, cusps, genus)
+    classes = 2 ** (n - 1) if spec.is_parallel else 0
     _check_output_size(classes, "boundary classes")
-    eis = [eisenstein_data(spec, inv, k) for k in range(spec.n, 2 * spec.n)]
+    eis = [eisenstein_data(spec, inv, k) for k in range(n, 2 * n)]
     doc = eisenstein_document(spec, inv, eis)
-    _emit(doc, config.fmt, render_eis_text, render_eis_latex)
+    _emit(doc, fmt, render_eis_text, render_eis_latex)
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    given = {k: getattr(config, k) for k in ("max_n", "max_m")}
-    bounds = SweepBounds(**{k: v for k, v in given.items() if v is not None})
+def _run_verify(fmt: str, **given: int) -> int:
+    bounds = SweepBounds(**given)  # the only defaults of max_n and max_m
     report = run_verification(bounds)
     doc = verify_document(report, {"max_n": bounds.max_n, "max_m": bounds.max_m})
-    _emit(doc, config.fmt, render_verify_text, render_verify_latex)
+    _emit(doc, fmt, render_verify_text, render_verify_latex)
     return 0 if report.ok else 2
 
 
-# each verb: its runner, its help text and the settings it reads
+# the settings of a local system (n, m) on a variety (cusps, genus)
+_ON_VARIETY = ("n", "m", "cusps", "genus")
+# each verb: its runner, its help text, the settings it reads and whether it
+# requires them
 VERBS = {
-    "table": (
-        _run_table, "full mixed Hodge structure table", ("n", "m", "cusps", "genus")
+    "table": (_run_table, "full mixed Hodge structure table", _ON_VARIETY, True),
+    "sheaf-matrix": (
+        _run_sheaf_matrix, "closed-form cohomology sheaves", ("n", "m"), True
     ),
-    "sheaf-matrix": (_run_sheaf_matrix, "closed-form cohomology sheaves", ("n", "m")),
-    "eisenstein": (
-        _run_eisenstein, "boundary cohomology data", ("n", "m", "cusps", "genus")
+    "eisenstein": (_run_eisenstein, "boundary cohomology data", _ON_VARIETY, True),
+    "verify": (
+        _run_verify, "run the cross-validation sweep", ("max_n", "max_m"), False
     ),
-    "verify": (_run_verify, "run the cross-validation sweep", ("max_n", "max_m")),
 }
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved configuration; returns the exit status."""
-    return VERBS[config.mode][0](config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, (_, help_text, names) in VERBS.items():
+    for verb, (_, help_text, names, _) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--format", choices=FORMATS, help="output format")
@@ -398,7 +364,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; 2 is reserved for failed checks
         return 0 if exc.code in (0, None) else 1
     try:
-        return run(resolve_config(args, args.command))
+        fmt, settings = resolve_config(args, args.command)
+        return VERBS[args.command][0](fmt, **settings)
     except HilbertHodgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,7 @@ from .tables import IhTable, gr_F_label_rows, mhs_table
 class CheckResult:
     name: str
     params: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     lhs: str = ""
     rhs: str = ""
 
@@ -60,9 +60,6 @@ class CheckReport:
         status = "pass" if lhs == rhs else "fail"
         self.results.append(CheckResult(name, params, status, repr(lhs), repr(rhs)))
 
-    def skip(self, name: str, params: str, reason: str) -> None:
-        self.results.append(CheckResult(name, params, "skip", reason, ""))
-
     def fail(self, name: str, params: str, reason: str) -> None:
         self.results.append(CheckResult(name, params, "fail", reason, ""))
 
@@ -73,11 +70,10 @@ class CheckReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    def counts(self) -> tuple[int, int, int]:
+    def counts(self) -> tuple[int, int]:
         passed = sum(1 for r in self.results if r.status == "pass")
         failed = sum(1 for r in self.results if r.status == "fail")
-        skipped = sum(1 for r in self.results if r.status == "skip")
-        return passed, failed, skipped
+        return passed, failed
 
     def sorted_results(self) -> list[CheckResult]:
         return sorted(self.results, key=lambda r: (r.name, r.params))
@@ -233,14 +229,10 @@ def check_hrr(spec: LocalSystemSpec, inv: VarietyInvariants) -> CheckReport:
 
     The Euler characteristic of the dual-weight monomial is
     ``(rank - 1) * chi_O + chi_O`` up to the sign ``(-1)^n``; it must equal
-    ``(g + (-1)^n) * rank``.  Skipped for the trivial system, where the
-    cancellation that drives the identity is not available.
+    ``(g + (-1)^n) * rank``, for the trivial system as for any other.
     """
     report = CheckReport()
     params = _fmt(spec, inv)
-    if spec.is_trivial:
-        report.skip("hrr", params, "trivial system")
-        return report
     lhs = (-1) ** spec.n * ((spec.rank - 1) * inv.chi_O + inv.chi_O)
     rhs = inv.l2_dim(spec)
     report.record("hrr", params, lhs, rhs)

@@ -168,13 +168,13 @@ def eisenstein_document(
 
 
 def verify_document(report: CheckReport, bounds_desc: dict) -> dict:
-    passed, failed, skipped = report.counts()
+    passed, failed = report.counts()
     return {
         "checks": checks_section(report),
         "summary": {
             "passed": passed,
             "failed": failed,
-            "skipped": skipped,
+            "skipped": 0,  # no check skips; the key keeps the format unchanged
             "ok": report.ok,
         },
         "sweep": bounds_desc,

@@ -294,25 +294,19 @@ class TestVerifyVerb:
 
 
 class TestRunConfig:
+    """One run's format and settings, resolved by ``cli.main`` from argv."""
+
     def test_programmatic_run(self, capsys):
-        config = cli.RunConfig(
-            mode="table", fmt="json", n=2, m=(1, 1), cusps=1, genus=1
-        )
-        assert cli.run(config) == 0
+        # a runner takes the format and its settings as keywords
+        runner = cli.VERBS["table"][0]
+        assert runner("json", n=2, m=(1, 1), cusps=1, genus=1) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["tables"]["H"][2]["dim"] == 33
 
-    def test_bad_mode_rejected(self):
-        from hilbert_hodge import ConfigError
-
-        with pytest.raises(ConfigError):
-            cli.RunConfig(mode="plot")
-
-    def test_bad_format_rejected(self):
-        from hilbert_hodge import ConfigError
-
-        with pytest.raises(ConfigError):
-            cli.RunConfig(mode="verify", fmt="yaml")
+    def test_bad_format_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--format", "yaml")
+        assert (code, out) == (1, "")
+        assert "invalid choice: 'yaml'" in err
 
     def test_config_format_validated_from_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -444,13 +438,16 @@ class TestConfigFile:
     def test_each_verb_accepts_format_and_its_own_settings(
         self, capsys, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(cli, "run", lambda config: 0)
+        # a null value leaves its setting unset, which a verb that requires
+        # it refuses; only a key the verb does not accept is named foreign
+        for verb, (_, *rest) in list(cli.VERBS.items()):
+            monkeypatch.setitem(cli.VERBS, verb, (lambda fmt, **settings: 0, *rest))
         cfg = tmp_path / "run.json"
         accepted = {}
         for verb in cli.VERBS:
             for key in ("format", *cli.SETTINGS):
                 cfg.write_text(json.dumps({key: None}))
-                if run(capsys, verb, "--config", str(cfg))[0] == 0:
+                if "names no setting" not in run(capsys, verb, "--config", str(cfg))[2]:
                     accepted.setdefault(verb, []).append(key)
         assert accepted == {
             "table": ["format", "n", "m", "cusps", "genus"],
@@ -458,6 +455,50 @@ class TestConfigFile:
             "eisenstein": ["format", "n", "m", "cusps", "genus"],
             "verify": ["format", "max_n", "max_m"],
         }
+
+    # a config value may be spelled as its flag is
+    VALUES = {"n": "2", "m": "1,1", "cusps": "1", "genus": "1"}
+    REQUIRED = [
+        (verb, name)
+        for verb, (_, _, names, required) in cli.VERBS.items()
+        if required
+        for name in names
+    ]
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("verb,name", REQUIRED)
+    def test_missing_required_setting_refused(
+        self, capsys, tmp_path, verb, name, source
+    ):
+        given = {key: self.VALUES[key] for key in cli.VERBS[verb][2] if key != name}
+        argv = [verb]
+        if source == "config":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(given))
+            argv += ["--config", str(cfg)]
+        else:
+            for key, value in given.items():
+                argv += [f"--{key}", value]
+        expected = f"error: missing required setting --{name}\n"
+        assert run(capsys, *argv) == (1, "", expected)
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            # a missing setting is refused before the domain check of n or m
+            ("table --n 1 --m 1", "missing required setting --cusps"),
+            ("eisenstein --n 2 --m 0,0 --cusps 1", "missing required setting --genus"),
+            # a value is converted, and a bad one refused, before that
+            ("table --n x --m 1,1", "setting n must be an integer, got 'x'"),
+        ],
+    )
+    def test_refusal_order(self, capsys, argv, expected):
+        assert run(capsys, *argv.split()) == (1, "", f"error: {expected}\n")
+
+    def test_verify_requires_no_setting(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_verification", lambda bounds: CheckReport())
+        doc = run_json(capsys, "verify", "--format", "json")
+        assert doc["sweep"] == {"max_n": 4, "max_m": 3}
 
     def test_unreadable_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "table", "--config", str(tmp_path / "absent.json"))

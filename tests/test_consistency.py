@@ -118,11 +118,12 @@ class TestHrr:
         assert res.status == "pass"
         assert res.lhs == "2"
 
-    def test_trivial_skipped(self):
+    def test_trivial_system_passes(self):
+        # (-1)^n * rank * chi_O = rank * (g + (-1)^n) holds for every system
         report = check_hrr(validate_spec(2, (0, 0)), VarietyInvariants(2, 1, 1))
         (res,) = report.results
-        assert res.status == "skip"
-        assert report.ok
+        assert res.status == "pass"
+        assert res.lhs == res.rhs == "2"
 
 
 class TestTableIdentities:
@@ -160,8 +161,8 @@ class TestOracleEquivalenceCheck:
         assert report.ok
         names = {r.name for r in report.results}
         assert names == {"oracle_equivalence", "chain_property"}
-        passed, failed, skipped = report.counts()
-        assert failed == 0 and skipped == 0 and passed > 0
+        passed, failed = report.counts()
+        assert failed == 0 and passed > 0
 
     def test_homology_error_is_an_oracle_failure(self, monkeypatch):
         def broken(cx):
@@ -233,7 +234,7 @@ class TestReportMechanics:
         report.record("demo", "a=2", 1, 2)
         report.record("demo", "a=3", 5, 5)
         assert not report.ok
-        assert report.counts() == (2, 1, 0)
+        assert report.counts() == (2, 1)
         assert [r.params for r in report.results if not r.ok] == ["a=2"]
 
     def test_sorted_results_deterministic(self):
@@ -246,7 +247,6 @@ class TestReportMechanics:
 
     def test_result_ok_statuses(self):
         assert CheckResult("n", "p", "pass").ok
-        assert CheckResult("n", "p", "skip").ok
         assert not CheckResult("n", "p", "fail").ok
 
 
@@ -256,7 +256,7 @@ class TestFullSweep:
         assert report.ok, [
             (r.name, r.params, r.lhs, r.rhs) for r in report.results if not r.ok
         ][:5]
-        passed, failed, skipped = report.counts()
+        passed, failed = report.counts()
         assert failed == 0
         assert passed > 100
 
