@@ -110,9 +110,8 @@ def resolve_config(args, verb: str) -> tuple[str, dict]:
     fmt = given.get("format", "text")
     if fmt not in FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
-    for name in names:
-        if required and name not in settings:
-            raise ConfigError(f"missing required setting --{name}")
+    if required and (unset := [name for name in names if name not in settings]):
+        raise ConfigError(f"missing required setting --{unset[0]}")
     return fmt, settings
 
 
@@ -341,10 +340,8 @@ VERBS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbert-hodge",
-        description=(
-            "Exact mixed-Hodge-structure tables for cohomology of "
-            "non-trivial local systems on Hilbert modular varieties."
-        ),
+        description="Exact mixed-Hodge-structure tables for cohomology of "
+        "non-trivial local systems on Hilbert modular varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for verb, (_, help_text, names, _) in VERBS.items():
@@ -357,7 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, argv = build_parser(), list(sys.argv[1:] if argv is None else argv)
+    flags = {"--" + name.replace("_", "-") for name in SETTINGS}
+    for i in reversed(range(len(argv) - 1)):  # "--m -1,1" is read as "--m=-1,1"
+        if argv[i] in flags and argv[i + 1].startswith("-"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

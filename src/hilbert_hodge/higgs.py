@@ -27,6 +27,10 @@ negate the coefficient of a free factor after an odd number of them.  A
 slice builds one template per ``k`` its blocks have; each block takes its
 element counts and its differential, in block-local indices, from it.
 
+A slice is checked for ``d o d = 0`` before its homology, on the entries
+the builder made, not on the template: each block of two entries or more is
+grouped per degree into ``source -> [(target, coeff)]``, and the first
+source with a non-zero composite is raised with its block, ``P`` and degree.
 Ranks are taken per block by exact fraction-free elimination.  Homology
 comes back as a ``SheafMatrix``, the type of the closed form, but nothing
 here knows the closed-form answer: this is the independent side of the
@@ -36,7 +40,7 @@ refused from its closed-form size, before anything is built.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -108,19 +112,24 @@ class HiggsChainComplex:
         return tuple(map(tuple, terms))
 
     def verify_chain_property(self) -> None:
-        """Assert d_{l+1} o d_l = 0 on every block, over every entry."""
+        """Raise unless d_{l+1} o d_l = 0 on every block, read entry by entry."""
         for (s, sizes), d in zip(self.blocks, self.differentials):
-            # degree -> index -> the (source, coeff) entries that reach it
-            into = [defaultdict(list) for _ in sizes]
-            for (l, mid, src), coeff in d.items():
-                into[l + 1][mid].append((src, coeff))
-            composite: defaultdict[tuple, int] = defaultdict(int)
-            for (l, tgt, mid), c_high in d.items():
-                for src, c_low in into[l].get(mid, ()):
-                    composite[l - 1, tgt, src] += c_high * c_low
-            bad = {k: v for k, v in composite.items() if v != 0}
-            if bad:
-                raise AssertionError(f"d o d != 0 in block s={s} for P={self.P}: {bad}")
+            if len(d) < 2:  # no two entries compose
+                continue
+            out = [{} for _ in sizes]  # degree -> source -> [(target, coeff)]
+            for (l, tgt, src), coeff in d.items():
+                out[l].setdefault(src, []).append((tgt, coeff))
+            for l, high in enumerate(out[1:]):
+                for src, mids in out[l].items() if high else ():
+                    composite = {}  # target in degree l + 2 -> coefficient
+                    for mid, c_low in mids:
+                        for tgt, c_high in high.get(mid, ()):
+                            composite[tgt] = composite.get(tgt, 0) + c_high * c_low
+                    if any(composite.values()):
+                        raise AssertionError(
+                            f"d o d != 0 in block s={s} for P={self.P}: "
+                            f"degree {l}, source {src}, composite {composite}"
+                        )
 
     def verify_monomial_grading(self) -> None:
         """Assert every differential entry lies inside its block, so that it

@@ -393,6 +393,22 @@ class TestConfigFile:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    # argparse alone would read "-1,1" after --m as an option and refuse it
+    # with its own usage message; every spelling must reach validate_spec
+    @pytest.mark.parametrize("spelling", ["flag", "flag=value", "config"])
+    def test_negative_weight_spellings_reach_the_domain_message(
+        self, capsys, tmp_path, spelling
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"m": [-1, 1]}))
+        m = {"flag": ["--m", "-1,1"], "flag=value": ["--m=-1,1"],
+             "config": ["--config", str(cfg)]}[spelling]
+        code, out, err = run(
+            capsys, "table", *m, "--n", "2", "--cusps", "1", "--genus", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: all weights must be >= 0, got m = (-1, 1)\n"
+
     def test_unknown_config_key_refused(self, capsys, tmp_path):
         # a misspelt bound must not fall back to the default sweep
         cfg = tmp_path / "run.json"

@@ -1,7 +1,10 @@
 """Oracle-side tests: explicit small complexes against hand computations,
 then the structural sweeps (chain property, grading, Euler bookkeeping)."""
 
+import ast
+import re
 import time
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -17,7 +20,7 @@ from hilbert_hodge import (
     homology,
     validate_spec,
 )
-from hilbert_hodge import higgs
+from hilbert_hodge import SweepBounds, consistency, higgs
 from hilbert_hodge.higgs import HiggsBasisElement, slice_size
 from hilbert_hodge.linalg import integer_matrix_rank
 
@@ -289,6 +292,116 @@ class TestIndependence:
         cx.differentials[b][key] *= -1
         with pytest.raises(AssertionError, match=r"in block s=\(0, 0\) for P=2:"):
             cx.verify_chain_property()
+
+    def test_chain_check_names_every_negated_entry(self, monkeypatch):
+        # m = (1,)*7: factor i is free where s_i = 0, so the slices hold
+        # blocks with every free-factor count from 0 to 7
+        spec = validate_spec(7, (1,) * 7)
+        first = {}  # free-factor count -> the one-block complex of its first block
+        for P in range(spec.weight + spec.n + 1):
+            cx = build_log_higgs_complex(spec, P)
+            for block, d in zip(cx.blocks, cx.differentials):
+                first.setdefault(
+                    block[0].count(0),
+                    replace(cx, blocks=(block,), differentials=(d,)),
+                )
+        assert sorted(first) == list(range(8))
+        for k in range(2, 8):
+            cx = first[k]
+            (s, sizes), d = cx.blocks[0], cx.differentials[0]
+            head = re.escape(f"d o d != 0 in block s={s} for P={cx.P}: ")
+            assert len(d) == k * 2 ** (k - 1)
+            for key in list(d):
+                l, _, src = key
+                d[key] *= -1
+                with pytest.raises(AssertionError) as info:
+                    cx.verify_chain_property()
+                named = re.fullmatch(
+                    head + r"degree (\d+), source (\d+), composite (\{.*\})",
+                    str(info.value),
+                )
+                assert named, str(info.value)
+                at, source = int(named[1]), int(named[2])
+                # the named source reaches the negated entry, and its composite,
+                # by the definition, is the one reported and is not zero
+                assert (at, source) == (l, src) or (
+                    at == l - 1 and (at, src, source) in d
+                )
+                want = {
+                    tgt: sum(
+                        d.get((at + 1, tgt, mid), 0) * d.get((at, mid, source), 0)
+                        for mid in range(sizes[at + 1])
+                    )
+                    for tgt in range(sizes[at + 2])
+                }
+                got = ast.literal_eval(named[3])
+                assert any(got.values())
+                assert {t: c for t, c in got.items() if c} == {
+                    t: c for t, c in want.items() if c
+                }
+                d[key] *= -1
+            cx.verify_chain_property()
+        # through the sweep: a corrupted slice is a chain_property failure
+        # whose text gives the degree and the source to rerun it by
+        build = consistency.build_log_higgs_complex
+
+        def corrupted(spec, P):
+            cx = build(spec, P)
+            if (spec.m, P) == ((1, 1), 2):
+                cx.differentials[[s for s, _ in cx.blocks].index((0, 0))][0, 1, 0] *= -1
+            return cx
+
+        monkeypatch.setattr(consistency, "build_log_higgs_complex", corrupted)
+        report = consistency.check_oracle_equivalence(SweepBounds(2, 1))
+        failed = [r for r in report.results if not r.ok]
+        assert [(r.name, r.params) for r in failed] == [
+            ("chain_property", "n=2 m=(1, 1) P=2")
+        ]
+        assert failed[0].lhs.startswith(
+            "d o d != 0 in block s=(0, 0) for P=2: degree 0, source 0, composite"
+        )
+
+
+def hand_built(n, sizes, d):
+    """A one-block complex of ``n`` factors, its block and entries given by
+    hand rather than by the Koszul template."""
+    s = (0,) * n
+    return HiggsChainComplex(validate_spec(n, (1,) * n), n, ((s, sizes),), (d,))
+
+
+class TestChainCheckReadsTheEntries:
+    """The chain check reads the dicts it is given, whatever their shape."""
+
+    def test_non_koszul_paths_that_cancel(self):
+        # 1 -> 3 -> 1 elements: two paths 2*3 and 3*(-2) cancel, the third
+        # middle element is a dead end; no Koszul block has these sizes
+        d = {(0, 0, 0): 2, (0, 1, 0): 3, (0, 2, 0): 5, (1, 0, 0): 3, (1, 0, 1): -2}
+        hand_built(2, (1, 3, 1), d).verify_chain_property()
+        d[1, 0, 1] = -3
+        with pytest.raises(
+            AssertionError, match=r"degree 0, source 0, composite \{0: -3\}$"
+        ):
+            hand_built(2, (1, 3, 1), d).verify_chain_property()
+
+    def test_blocks_with_one_entry_or_none_pass(self):
+        hand_built(2, (1, 1, 0), {(0, 0, 0): 7}).verify_chain_property()
+        hand_built(2, (1, 0, 0), {}).verify_chain_property()
+        # two entries are the fewest that compose, and are read
+        with pytest.raises(AssertionError, match=r"composite \{0: 6\}$"):
+            hand_built(2, (1, 1, 1), {(0, 0, 0): 2, (1, 0, 0): 3}).verify_chain_property()
+
+    def test_a_corrupted_top_degree_entry_is_read(self):
+        # degrees 1 -> 2 -> 3 of n = 3: d_1 = (2, 3), d_2 = (3, -2); only an
+        # entry of the top differential d_{n-1} = d_2 is changed
+        d = {(1, 0, 0): 2, (1, 1, 0): 3, (2, 0, 0): 3, (2, 0, 1): -2}
+        hand_built(3, (0, 1, 2, 1), d).verify_chain_property()
+        d[2, 0, 1] = 2
+        with pytest.raises(
+            AssertionError,
+            match=r"block s=\(0, 0, 0\) for P=3: degree 1, source 0, "
+            r"composite \{0: 12\}$",
+        ):
+            hand_built(3, (0, 1, 2, 1), d).verify_chain_property()
 
 
 class TestBlockPass:
