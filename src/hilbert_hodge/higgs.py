@@ -24,14 +24,16 @@ free, its two states joined by the coefficient ``m_i - s_i``.  A block with
 ``k`` free factors is thus the Koszul complex on them: its ``z`` factors at
 ``s_i = -1`` lie in every wedge, so they shift each degree by ``z`` and
 negate the coefficient of a free factor after an odd number of them.  A
-slice builds one template per ``k`` its blocks have; each block takes its
-element counts and its differential, in block-local indices, from it.
+slice builds one template per ``k`` its blocks have and one list of entry
+keys per ``(k, z)``; each block takes its element counts from the first and
+fills its own dict of entries, in block-local indices, over the second.
 
 A slice is checked for ``d o d = 0`` before its homology, on the entries
 the builder made, not on the template: each block of two entries or more is
 grouped per degree into ``source -> [(target, coeff)]``, and the first
 source with a non-zero composite is raised with its block, ``P`` and degree.
-Ranks are taken per block by exact fraction-free elimination.  Homology
+Ranks are taken per block by exact gcd-normalised elimination, only of the
+differentials that have entries: any other is zero, of rank 0.  Homology
 comes back as a ``SheafMatrix``, the type of the closed form, but nothing
 here knows the closed-form answer: this is the independent side of the
 cross-validation.  A slice over the fixed size cap ``ORACLE_CAP`` is
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 from operator import add
 
@@ -153,8 +155,9 @@ def slice_size(spec: LocalSystemSpec, P: int) -> int:
     ``c(s)`` is the coefficient of ``x^s`` in ``prod_i (1 + x + ... + x^{m_i})``.
     """
     c = [1]
-    for mi in spec.m:
-        c = [sum(c[max(0, s - mi) : s + 1]) for s in range(len(c) + mi)]
+    for mi in spec.m:  # one more factor: c(s) becomes c(s - mi) + ... + c(s)
+        running = list(accumulate(c + [0] * mi))  # c(0) + ... + c(s)
+        c = [a - b for a, b in zip(running, [0] * (mi + 1) + running)]
     return sum(
         comb(spec.n, l) * c[s]
         for l in range(spec.n + 1)
@@ -185,10 +188,11 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
             f"complex has {size} basis elements, cap is {ORACLE_CAP}"
         )
     n, m = spec.n, spec.m
-    # templates[k]: the entries (l, target, source, j, sign) raising free
-    # factor j and the counts per degree of the Koszul complex on k factors,
-    # built for the first block with k free factors, which has 2^k elements
+    # templates[k]: the counts per degree of the Koszul complex on k factors,
+    # its entries (l, target, source, j or k + j if the coefficient of free
+    # factor j is negated) and that last index alone; built at the first such block
     templates = {}
+    keys = {}  # (k, z) -> the entry keys (l + z, target, source) its blocks share
     # the blocks, -1 <= s_i <= m_i with sum(s) = |m| - P, extended factor by
     # factor in lexicographic order while the factors left can reach the sum
     heads = [((), spec.weight - P)]  # (prefix of s, sum left to reach)
@@ -212,35 +216,39 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
             for e in product((0, 1), repeat=k):  # the product order of states
                 index[e] = (l := sum(e)), counts[l]
                 counts[l] += 1
-            templates[k] = tuple(counts), [
-                (l, index[(*e[:j], 1, *e[j + 1 :])][1], src, j, (-1) ** sum(e[:j]))
+            entries = [
+                (l, index[(*e[:j], 1, *e[j + 1 :])][1], src, j + k * (sum(e[:j]) % 2))
                 for e, (l, src) in index.items() for j in range(k) if not e[j]
             ]
-        counts, entries = templates[k]
+            templates[k] = tuple(counts), entries, [entry[3] for entry in entries]
+        counts, entries, picks = templates[k]
+        if (k, z) not in keys:
+            keys[k, z] = [(l + z, tgt, src) for l, tgt, src, _ in entries]
         blocks.append((s, (0,) * z + counts + (0,) * (n - z - k)))
-        differentials.append(
-            {(l + z, tgt, src): sign * coeffs[j] for l, tgt, src, j, sign in entries}
-        )
+        signed = coeffs + [-c for c in coeffs]
+        differentials.append(dict(zip(keys[k, z], map(signed.__getitem__, picks))))
 
     return HiggsChainComplex(spec, P, tuple(blocks), tuple(differentials))
 
 
 def homology(cx: HiggsChainComplex) -> SheafMatrix:
     """Homology of one complex, computed blockwise by exact integer rank:
-    ``dim H^l = dim(term_l) - rank(d_l) - rank(d_{l-1})`` per block.  Each
-    block's dense rows are filled straight from its differential, and each
-    block with homology is named by the monomial of its first element."""
+    ``dim H^l = dim(term_l) - rank(d_l) - rank(d_{l-1})`` per block.  Dense
+    rows are filled from the differential only in the degrees it has entries
+    in, and each block with homology is named by its first element's monomial."""
     n, m = cx.spec.n, cx.spec.m
     cells: dict[tuple[int, int], Counter] = {}
     for (s, sizes), d in zip(cx.blocks, cx.differentials):
-        rows = [[[0] * sizes[l] for _ in range(sizes[l + 1])] for l in range(n)]
+        rows = {}  # degree l -> dense rows of d_l, for the degrees with entries
         for (l, tgt, src), coeff in d.items():
+            if l not in rows:
+                rows[l] = [[0] * sizes[l] for _ in range(sizes[l + 1])]
             rows[l][tgt][src] = coeff
-        # ranks[l + 1] is the rank of d_l (of d_{-1} and d_n: zero)
-        ranks = [0, *(integer_matrix_rank(r) if r and r[0] else 0 for r in rows), 0]
+        # the rank of d_l at l + 1; a d_l with no entry is zero, of rank 0
+        ranks = {l + 1: integer_matrix_rank(r) for l, r in rows.items()}
         mono = None
         for l in range(n + 1):
-            dim = sizes[l] - ranks[l + 1] - ranks[l]
+            dim = sizes[l] - ranks.get(l + 1, 0) - ranks.get(l, 0)
             if dim < 0:
                 raise AssertionError("rank bookkeeping produced a negative dimension")
             if dim:

@@ -1,46 +1,47 @@
-"""Exact rank of integer matrices by fraction-free elimination.
+"""Exact rank of integer matrices by gcd-normalised elimination.
 
-Plain Python integers keep every intermediate value exact, so the rank is
-the true rank over the rationals.  The two-step update divides by the
-previous pivot, which is an exact division by the Sylvester determinant
-identity, so entries stay at determinant size instead of exploding
-exponentially.
+Plain Python integers keep every value exact.  A matrix with more rows than
+columns is eliminated as its transpose, of the same rank.  Below each
+pivot, a row whose entry in the pivot column is 0 is left alone; every
+other row becomes ``pivot * row - factor * pivot_row``, divided by the gcd
+of its entries.  Scaling a row by the non-zero pivot, adding a multiple of
+another row and dividing by a non-zero integer are invertible row
+operations over the rationals, so the rank never changes.  A reduced row is
+proportional to the row that fraction-free elimination would hold there,
+whose entries are minors of the input; being primitive, it is no larger.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 
 def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as a list of rows (possibly empty)."""
-    m = [list(row) for row in rows]
+    """Rank of an integer matrix given as a sequence of rows (possibly
+    empty); a reduced row is a new list, so the rows given never change."""
+    m = list(rows)
+    if m and len(m) > len(m[0]):  # rank(A) = rank(A^T): eliminate the wide way
+        m = list(zip(*m))
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     rank = 0
-    prev_pivot = 1
     for col in range(n_cols):
-        pivot_row = None
         for i in range(rank, n_rows):
-            if m[i][col] != 0:
-                pivot_row = i
+            if m[i][col]:
                 break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
+        else:
+            continue  # no pivot in this column
+        m[rank], m[i] = m[i], m[rank]
         row_p = m[rank]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][col]
-            row_i = m[i]
-            # every row below is rescaled, zero factor or not; the later
-            # exact divisions rely on it
-            for j in range(col + 1, n_cols):
-                row_i[j] = (pivot * row_i[j] - factor * row_p[j]) // prev_pivot
-            row_i[col] = 0
-        prev_pivot = pivot
+        pivot = row_p[col]
         rank += 1
-        if rank == n_rows:
-            break
+        if rank == n_rows or col + 1 == n_cols:
+            break  # no row or no column left to reduce
+        for i in range(rank, n_rows):
+            factor = m[i][col]
+            if factor:
+                row = [pivot * a - factor * b for a, b in zip(m[i], row_p)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
     return rank
-

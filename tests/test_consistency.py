@@ -183,6 +183,37 @@ class TestOracleEquivalenceCheck:
         assert all(r.status == "fail" for r in failures)
         assert "negative dimension" in failures[0].lhs
 
+    def test_an_entry_of_an_out_of_range_degree_is_a_recorded_failure(
+        self, monkeypatch
+    ):
+        # d_{n+1} does not exist; the chain check, which indexes by degree,
+        # would raise IndexError on it, so the grading check must run first
+        clean = check_oracle_equivalence(SweepBounds(max_n=2, max_m=1)).results
+        build = consistency.build_log_higgs_complex
+
+        def corrupted(spec, P):
+            cx = build(spec, P)
+            if (spec.m, P) == ((1, 1), 2):
+                b = [s for s, _ in cx.blocks].index((0, 0))
+                cx.differentials[b][spec.n + 1, 0, 0] = 1
+            return cx
+
+        monkeypatch.setattr(consistency, "build_log_higgs_complex", corrupted)
+        report = check_oracle_equivalence(SweepBounds(max_n=2, max_m=1))
+        failed = [r for r in report.results if not r.ok]
+        assert [(r.name, r.params) for r in failed] == [
+            ("chain_property", "n=2 m=(1, 1) P=2")
+        ]
+        assert failed[0].lhs.startswith(
+            "differential entry (3, 0, 0) leaves block s=(0, 0)"
+        )
+        # the sweep went on: the failure replaces that slice's oracle result
+        # and the system's chain_property pass, and nothing else changed
+        lost = [r for r in clean if r.params in ("n=2 m=(1, 1) P=2", "n=2 m=(1, 1)")]
+        assert [r.name for r in lost] == ["oracle_equivalence", "chain_property"]
+        kept = [r for r in clean if r not in lost]
+        assert [r for r in report.results if r.ok] == kept
+
     def test_lowered_cap_refuses_the_sweep_before_any_complex(self, monkeypatch):
         def built(*args):
             pytest.fail("a complex was built")

@@ -160,7 +160,8 @@ class TestOracleCap:
             build_log_higgs_complex(spec, 4)
 
     def test_closed_form_size_is_the_built_size(self):
-        for spec in sweep_specs(4, 3):
+        wide = [validate_spec(len(m), m) for m in ((200,), (7, 0, 5), (1,) * 9)]
+        for spec in [*sweep_specs(4, 3), *wide]:
             for P in range(spec.weight + spec.n + 1):
                 cx = build_log_higgs_complex(spec, P)
                 assert slice_size(spec, P) == cx.total_size, (spec.m, P)
@@ -360,6 +361,51 @@ class TestIndependence:
         assert failed[0].lhs.startswith(
             "d o d != 0 in block s=(0, 0) for P=2: degree 0, source 0, composite"
         )
+
+
+ORACLE_LARGE = [
+    validate_spec(len(m), m) for m in ((4, 3, 2, 4, 3), (3, 3, 3, 3, 3), (1,) * 7)
+]
+
+
+class TestBlockwork:
+    """The oracle ranks what it must, once, and blocks share no state."""
+
+    def test_one_rank_per_block_degree_with_two_nonzero_sizes(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return integer_matrix_rank(rows)
+
+        want = 0
+        for spec in ORACLE_LARGE:
+            for P in range(spec.weight + spec.n + 1):
+                for _, sizes in build_log_higgs_complex(spec, P).blocks:
+                    want += sum(1 for l in range(spec.n) if sizes[l] and sizes[l + 1])
+        monkeypatch.setattr(higgs, "integer_matrix_rank", counted)
+        for spec in ORACLE_LARGE:
+            assert full_homology(spec).sorted_cells() == (
+                cohomology_sheaf_closed_form(spec).sorted_cells()
+            )
+        assert len(calls) == want == 25_398
+
+    def test_blocks_of_one_shape_share_no_entry_values(self):
+        # every block with the same (k, z) gets its keys from one list; its
+        # dict must still be its own
+        for spec in ORACLE_LARGE:
+            cx = build_log_higgs_complex(spec, spec.weight // 2 + 1)
+            shapes = {}
+            for b, (s, _) in enumerate(cx.blocks):  # (k, z) -> its blocks
+                k = sum(-1 < si < mi for si, mi in zip(s, spec.m))
+                shapes.setdefault((k, s.count(-1)), []).append(b)
+            b, *others = max(shapes.values(), key=len)
+            assert others and cx.differentials[b]
+            before = [dict(cx.differentials[o]) for o in others]
+            key = next(iter(cx.differentials[b]))
+            cx.differentials[b][key] *= -1
+            assert [cx.differentials[o] for o in others] == before
+            assert all(d.keys() == cx.differentials[b].keys() for d in before)
 
 
 def hand_built(n, sizes, d):

@@ -1,4 +1,6 @@
-"""The fraction-free rank is checked against plain rational elimination."""
+"""The gcd-normalised integer rank is checked against plain rational
+elimination over ``Fraction``, on hand cases, on random matrices up to the
+size of the largest oracle block, and on inputs it must leave unchanged."""
 
 import random
 from fractions import Fraction
@@ -68,3 +70,57 @@ def test_low_rank_products():
         assert integer_matrix_rank(prod) <= k
         assert integer_matrix_rank(prod) == rank_by_fractions(prod)
 
+
+def sparse_matrix(rng, n_rows, n_cols, density, bound):
+    return [
+        [rng.randint(-bound, bound) if rng.random() < density else 0
+         for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+
+
+def test_sparse_matrices_up_to_the_largest_oracle_block():
+    # the (1,)*7 free block's middle differential is 35 x 35 with four
+    # entries per row; elimination fills such rows in as it goes
+    rng = random.Random(35)
+    for _ in range(40):
+        n_rows, n_cols = rng.randint(1, 35), rng.randint(1, 35)
+        m = sparse_matrix(rng, n_rows, n_cols, rng.choice([0.05, 0.12, 0.3]), 4)
+        assert integer_matrix_rank(m) == rank_by_fractions(m), m
+
+
+def test_large_entries():
+    rng = random.Random(10**6)
+    for _ in range(30):
+        n_rows, n_cols = rng.randint(1, 12), rng.randint(1, 12)
+        m = sparse_matrix(rng, n_rows, n_cols, rng.choice([0.3, 1.0]), 10**6)
+        assert integer_matrix_rank(m) == rank_by_fractions(m), m
+
+
+def test_rows_that_combine_other_rows():
+    rng = random.Random(3)
+    for _ in range(60):
+        n_cols, k = rng.randint(2, 20), rng.randint(1, 6)
+        base = sparse_matrix(rng, k, n_cols, 0.4, 9)
+        combos = [
+            [sum(c * row[j] for c, row in zip(coeffs, base)) for j in range(n_cols)]
+            for coeffs in (
+                [rng.randint(-3, 3) for _ in base] for _ in range(rng.randint(1, 8))
+            )
+        ]
+        m = base + combos
+        rng.shuffle(m)
+        rank = integer_matrix_rank(m)
+        assert rank == rank_by_fractions(m) == rank_by_fractions(base) <= k
+
+
+def test_inputs_come_back_unchanged():
+    # a tall matrix is eliminated as its transpose, a wide one as given;
+    # both have rows below a pivot that elimination replaces
+    tall = [[0, 2, 4], [1, 1, 1], [3, 5, 7], [0, 0, 6]]
+    for rows in (tall, [list(col) for col in zip(*tall)]):
+        as_lists = [list(row) for row in rows]
+        as_tuples = tuple(map(tuple, rows))
+        assert integer_matrix_rank(as_lists) == integer_matrix_rank(as_tuples) == 3
+        assert as_lists == rows
+        assert as_tuples == tuple(map(tuple, rows))
