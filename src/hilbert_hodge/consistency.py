@@ -162,9 +162,11 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
     of that result.  The grading, then the chain property, of every complex
     is checked alongside, one aggregated result per (n, m), so an entry
     outside its block is a recorded failure.  ``SweepBounds`` has refused
-    any sweep over the oracle cap, so every slice is built.
+    any sweep over the oracle cap, so every slice is built; all slices share
+    one Koszul store, made for this sweep.
     """
     report = CheckReport()
+    koszul = {}
     for n in range(1, bounds.max_n + 1):
         for m in _iter_weights(n, bounds.max_m):
             spec = validate_spec(n, m)
@@ -172,7 +174,7 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
             chain_ok = True
             for P in range(spec.weight + spec.n + 1):
                 params = _fmt(spec, P=P)
-                cx = build_log_higgs_complex(spec, P)
+                cx = build_log_higgs_complex(spec, P, koszul)
                 try:
                     cx.verify_monomial_grading()
                     cx.verify_chain_property()

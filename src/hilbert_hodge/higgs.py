@@ -23,10 +23,10 @@ m_i``), each with monomial ``prod_i L_i^{m_i - 2 s_i}`` and Hodge index
 free, its two states joined by the coefficient ``m_i - s_i``.  A block with
 ``k`` free factors is thus the Koszul complex on them: its ``z`` factors at
 ``s_i = -1`` lie in every wedge, so they shift each degree by ``z`` and
-negate the coefficient of a free factor after an odd number of them.  A
-slice builds one template per ``k`` its blocks have and one list of entry
-keys per ``(k, z)``; each block takes its element counts from the first and
-fills its own dict of entries, in block-local indices, over the second.
+negate the coefficient of a free factor after an odd number of them.  One
+Koszul store per ``full_homology`` call or ``verify`` sweep holds a template
+per ``k`` and entry keys per ``(k, z)``, as neither depends on the system or
+``P``; each block fills its own dict, in block-local indices, over its keys.
 
 A slice is checked for ``d o d = 0`` before its homology, on the entries
 the builder made, not on the template: each block of two entries or more is
@@ -165,7 +165,9 @@ def slice_size(spec: LocalSystemSpec, P: int) -> int:
     )
 
 
-def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
+def build_log_higgs_complex(
+    spec: LocalSystemSpec, P: int, koszul: dict | None = None
+) -> HiggsChainComplex:
     """Assemble the slice of the logarithmic Higgs complex at Hodge index P.
 
     The differential of a basis element ``(t, I)`` is
@@ -176,7 +178,9 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
     and summands with coefficient zero (``t_i = m_i``) are omitted.  Blocks
     come in lexicographic order of ``s``, each in the product order of its
     states.  A slice over ``ORACLE_CAP`` (10^6), read at each call, raises
-    :class:`OracleSizeExceeded` before anything is built.
+    :class:`OracleSizeExceeded` before anything is built.  ``koszul``, the
+    caller's Koszul store or a new one, is read and filled with tuples: ``k``
+    -> (counts per degree, coefficient picks), ``(k, z)`` -> entry keys.
     """
     if not 0 <= P <= spec.weight + spec.n:
         raise BadHodgeIndex(
@@ -188,11 +192,7 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
             f"complex has {size} basis elements, cap is {ORACLE_CAP}"
         )
     n, m = spec.n, spec.m
-    # templates[k]: the counts per degree of the Koszul complex on k factors,
-    # its entries (l, target, source, j or k + j if the coefficient of free
-    # factor j is negated) and that last index alone; built at the first such block
-    templates = {}
-    keys = {}  # (k, z) -> the entry keys (l + z, target, source) its blocks share
+    koszul = {} if koszul is None else koszul
     # the blocks, -1 <= s_i <= m_i with sum(s) = |m| - P, extended factor by
     # factor in lexicographic order while the factors left can reach the sum
     heads = [((), spec.weight - P)]  # (prefix of s, sum left to reach)
@@ -211,7 +211,9 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
                 z += 1
             elif si < mi:
                 coeffs.append(-(mi - si) if z % 2 else mi - si)
-        if (k := len(coeffs)) not in templates:
+        if (k := len(coeffs)) not in koszul:
+            # the Koszul complex on k factors: counts per degree and, per entry
+            # (l, target, source), the pick j, or k + j if free factor j is negated
             counts, index = [0] * (k + 1), {}
             for e in product((0, 1), repeat=k):  # the product order of states
                 index[e] = (l := sum(e)), counts[l]
@@ -220,13 +222,14 @@ def build_log_higgs_complex(spec: LocalSystemSpec, P: int) -> HiggsChainComplex:
                 (l, index[(*e[:j], 1, *e[j + 1 :])][1], src, j + k * (sum(e[:j]) % 2))
                 for e, (l, src) in index.items() for j in range(k) if not e[j]
             ]
-            templates[k] = tuple(counts), entries, [entry[3] for entry in entries]
-        counts, entries, picks = templates[k]
-        if (k, z) not in keys:
-            keys[k, z] = [(l + z, tgt, src) for l, tgt, src, _ in entries]
+            koszul[k] = tuple(counts), tuple(entry[3] for entry in entries)
+            koszul[k, 0] = tuple(entry[:3] for entry in entries)
+        counts, picks = koszul[k]
+        if (k, z) not in koszul:  # the keys (l + z, target, source)
+            koszul[k, z] = tuple((l + z, tgt, src) for l, tgt, src in koszul[k, 0])
         blocks.append((s, (0,) * z + counts + (0,) * (n - z - k)))
         signed = coeffs + [-c for c in coeffs]
-        differentials.append(dict(zip(keys[k, z], map(signed.__getitem__, picks))))
+        differentials.append(dict(zip(koszul[k, z], map(signed.__getitem__, picks))))
 
     return HiggsChainComplex(spec, P, tuple(blocks), tuple(differentials))
 
@@ -259,11 +262,13 @@ def homology(cx: HiggsChainComplex) -> SheafMatrix:
 
 def full_homology(spec: LocalSystemSpec) -> SheafMatrix:
     """Homology of every Hodge-index slice, each within ``ORACLE_CAP`` and
-    checked for d o d = 0 first, merged into one sheaf matrix.  Entries are
-    per block, so grading needs no pass; ``verify`` checks their index ranges."""
+    checked for d o d = 0 first, merged into one sheaf matrix; the slices
+    share a Koszul store made for this call.  Entries are per block, so
+    grading needs no pass; ``verify`` checks their index ranges."""
     cells: dict[tuple[int, int], Counter] = {}
+    koszul = {}
     for P in range(spec.weight + spec.n + 1):
-        cx = build_log_higgs_complex(spec, P)
+        cx = build_log_higgs_complex(spec, P, koszul)
         cx.verify_chain_property()
         cells.update(homology(cx).cells)
     return SheafMatrix(cells)

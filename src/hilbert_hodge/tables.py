@@ -69,14 +69,15 @@ def gr_F_label_rows(spec: LocalSystemSpec) -> list:
     return [gr_F_labels(spec, k, subsets) for k in range(2 * spec.n + 1)]
 
 
-def in_dictionary(spec: LocalSystemSpec, k: int, P: int) -> bool:
-    """Whether :func:`sheaf_cohomology_dim` covers every label of
-    ``Gr_F^P H^k``: all of ``H^n``, ``P = 0`` (``I`` empty) below ``n`` and
-    the top piece (``I = {1..n}``) for ``n < k < 2n``; nothing else."""
+def covered_pieces(spec: LocalSystemSpec, k: int, pieces: dict) -> tuple:
+    """The items ``(P, labels)`` of ``pieces = gr_F_labels(spec, k)``, in
+    order, that :func:`sheaf_cohomology_dim` covers: all of ``H^n``, the
+    ``P = 0`` piece below ``n`` and the top piece for ``n < k < 2n``."""
     n = spec.n
-    if k < n:
-        return P == 0
-    return k == n or (k < 2 * n and P == spec.weight + n)
+    if k == n:
+        return tuple(pieces.items())
+    P = 0 if k < n else spec.weight + n
+    return ((P, pieces[P]),) if k < 2 * n else ()
 
 
 def gr_f_label_count(n: int) -> int:
@@ -299,16 +300,18 @@ def mhs_table(
 
 def _assert_gr_f_consistency(table: MhsTable) -> None:
     """Column sums of the Hodge numbers must match the labels of every
-    piece the dimension dictionary covers (:func:`in_dictionary`).
+    piece the dimension dictionary covers (:func:`covered_pieces`).
 
-    A :class:`DictionaryMiss` inside such a piece fails the table like a
-    wrong sum; the other pieces carry no dimension claim and are skipped.
+    Each row sums its Hodge numbers by ``P`` once and visits only the
+    pieces it covers, in order; a :class:`DictionaryMiss` inside one fails
+    the table like a wrong sum.  The others carry no dimension claim.
     """
     spec, inv = table.spec, table.inv
     for row in table.rows.values():
-        for P, labels in row.gr_f.items():
-            if not in_dictionary(spec, row.k, P):
-                continue
+        columns = {}  # P -> sum of the row's Hodge numbers h^{P,Q}
+        for (p, _), d in row.hodge.items():
+            columns[p] = columns.get(p, 0) + d
+        for P, labels in covered_pieces(spec, row.k, row.gr_f):
             try:
                 total = sum(sheaf_cohomology_dim(lb, spec, inv) for lb in labels)
             except DictionaryMiss as exc:
@@ -316,7 +319,7 @@ def _assert_gr_f_consistency(table: MhsTable) -> None:
                     f"Gr_F^{P} of H^{row.k} is outside the dimension "
                     f"dictionary: {exc}"
                 ) from None
-            column = sum(d for (p, _), d in row.hodge.items() if p == P)
+            column = columns.get(P, 0)
             if total != column:
                 raise AssertionError(
                     f"Gr_F^{P} of H^{row.k} resolves to {total} but the Hodge "

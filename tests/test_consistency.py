@@ -191,8 +191,8 @@ class TestOracleEquivalenceCheck:
         clean = check_oracle_equivalence(SweepBounds(max_n=2, max_m=1)).results
         build = consistency.build_log_higgs_complex
 
-        def corrupted(spec, P):
-            cx = build(spec, P)
+        def corrupted(spec, P, koszul=None):
+            cx = build(spec, P, koszul)
             if (spec.m, P) == ((1, 1), 2):
                 b = [s for s, _ in cx.blocks].index((0, 0))
                 cx.differentials[b][spec.n + 1, 0, 0] = 1

@@ -346,8 +346,8 @@ class TestIndependence:
         # whose text gives the degree and the source to rerun it by
         build = consistency.build_log_higgs_complex
 
-        def corrupted(spec, P):
-            cx = build(spec, P)
+        def corrupted(spec, P, koszul=None):
+            cx = build(spec, P, koszul)
             if (spec.m, P) == ((1, 1), 2):
                 cx.differentials[[s for s, _ in cx.blocks].index((0, 0))][0, 1, 0] *= -1
             return cx
@@ -406,6 +406,50 @@ class TestBlockwork:
             cx.differentials[b][key] *= -1
             assert [cx.differentials[o] for o in others] == before
             assert all(d.keys() == cx.differentials[b].keys() for d in before)
+
+    def test_a_shared_koszul_store_builds_what_a_fresh_one_builds(self):
+        # every slice of the sweep n <= 4, m_i <= 2, in sweep order, each
+        # corrupted after its check: the next build from the store must not see it
+        koszul = {}
+        for spec in sweep_specs(4, 2):
+            for P in range(spec.weight + spec.n + 1):
+                shared = build_log_higgs_complex(spec, P, koszul)
+                fresh = build_log_higgs_complex(spec, P)
+                assert shared.blocks == fresh.blocks, (spec.m, P)
+                assert shared.differentials == fresh.differentials, (spec.m, P)
+                for d in shared.differentials:
+                    for key in d:
+                        d[key] = -d[key] or 1
+                    d[spec.n, 0, 0] = 1
+        assert {key for key in koszul if isinstance(key, int)} == set(range(5))
+        assert {key for key in koszul if isinstance(key, tuple)} == {
+            (k, z) for k in range(5) for z in range(5 - k)
+        }
+        # held as tuples, so no build can change what the next one reads
+        for key, value in koszul.items():
+            assert isinstance(value, tuple)
+            assert isinstance(key, tuple) or all(isinstance(v, tuple) for v in value)
+
+    def test_one_store_per_sweep_and_per_full_homology_call(self, monkeypatch):
+        build, stores = build_log_higgs_complex, []
+
+        def recorded(spec, P, koszul=None):
+            stores.append(koszul)
+            return build(spec, P, koszul)
+
+        monkeypatch.setattr(consistency, "build_log_higgs_complex", recorded)
+        monkeypatch.setattr(higgs, "build_log_higgs_complex", recorded)
+        assert consistency.check_oracle_equivalence(SweepBounds(3, 1)).ok
+        # 5 slices at n = 1, 16 at n = 2 and 44 at n = 3, all on one store
+        assert len(stores) == 65 and all(st is stores[0] for st in stores)
+        assert isinstance(stores[0], dict) and stores[0]
+        spec, first = validate_spec(2, (1, 1)), stores[0]
+        for _ in range(2):
+            stores.clear()
+            full_homology(spec)
+            assert len(stores) == 5 and all(st is stores[0] for st in stores)
+            assert isinstance(stores[0], dict) and stores[0] is not first
+            first = stores[0]
 
 
 def hand_built(n, sizes, d):

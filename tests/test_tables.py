@@ -18,8 +18,9 @@ from hilbert_hodge import (
     sheaf_cohomology_dim,
     validate_spec,
 )
+from hilbert_hodge import tables
 from hilbert_hodge.errors import BadDegree, TrivialSystem
-from hilbert_hodge.tables import gr_F_label_rows, gr_f_label_count, in_dictionary
+from hilbert_hodge.tables import covered_pieces, gr_F_label_rows, gr_f_label_count
 
 
 def mono(*exps):
@@ -123,6 +124,10 @@ class TestLabelRows:
         checked = 0
         for spec in default_sweep_specs():
             for k, row in enumerate(gr_F_label_rows(spec)):
+                covered = covered_pieces(spec, k, row)
+                keys = {P for P, _ in covered}
+                # the row's own pieces, in the row's order
+                assert list(covered) == [(P, pc) for P, pc in row.items() if P in keys]
                 for P, piece in row.items():
                     resolves = []
                     for lb in piece:
@@ -132,7 +137,7 @@ class TestLabelRows:
                             resolves.append(False)
                         else:
                             resolves.append(True)
-                    if in_dictionary(spec, k, P):
+                    if P in keys:
                         assert all(resolves), (spec, k, P)
                     else:
                         assert not all(resolves), (spec, k, P)
@@ -342,6 +347,62 @@ class TestMhsTable:
             labels = row.gr_f[w]
             total = sum(sheaf_cohomology_dim(lb, spec, inv) for lb in labels)
             assert total == row.dim == comb(2, k - 3) * 2
+
+    def test_gr_f_check_resolves_each_covered_label_once(self, monkeypatch):
+        resolved = []
+
+        def counted(label, spec, inv):
+            resolved.append(label)
+            return sheaf_cohomology_dim(label, spec, inv)
+
+        monkeypatch.setattr(tables, "sheaf_cohomology_dim", counted)
+        want = []
+        for n in (2, 3):
+            inv = VarietyInvariants(n, 2, 2)
+            for m in product(range(3), repeat=n):
+                if not any(m):
+                    continue
+                spec = validate_spec(n, m, table=True)
+                before = len(want)
+                for k, row in enumerate(gr_F_label_rows(spec)):
+                    for P, piece in row.items():
+                        if (
+                            k == n
+                            or (k < n and P == 0)
+                            or (n < k < 2 * n and P == spec.weight + n)
+                        ):
+                            want.extend(piece)
+                # one label per degree below n, 2^n at n, one per n < k < 2n
+                assert len(want) - before == n + 2**n + n - 1
+                mhs_table(spec, inv)
+        assert resolved == want and len(want) == 8 * 7 + 26 * 13
+
+    @pytest.mark.parametrize(
+        "n, m, inv, broken, message",
+        [
+            (2, (1, 1), (2, 1, 1), [(1, (-1, -1))],
+             "Gr_F^0 of H^1 resolves to 1 but the Hodge numbers give 0"),
+            (2, (1, 1), (2, 1, 1), [(1, (3, -1))],
+             "Gr_F^2 of H^2 resolves to 17 but the Hodge numbers give 16"),
+            (3, (1, 1, 1), (3, 2, 2), [(1, (3, 3, 3))],
+             "Gr_F^6 of H^4 resolves to 5 but the Hodge numbers give 4"),
+            # Gr_F^3 comes before Gr_F^2 in the label order of H^2
+            (2, (2, 1), (2, 1, 1), [(1, (-2, 3)), (1, (4, -1))],
+             "Gr_F^3 of H^2 resolves to 13 but the Hodge numbers give 12"),
+        ],
+        ids=["P=0-below-n", "H^n", "top-above-n", "first-in-label-order"],
+    )
+    def test_gr_f_check_fails_on_an_entry_off_by_one(
+        self, monkeypatch, n, m, inv, broken, message
+    ):
+        def off_by_one(label, spec, inv):
+            d = sheaf_cohomology_dim(label, spec, inv)
+            return d + 1 if (label[0], label[1].exponents) in broken else d
+
+        monkeypatch.setattr(tables, "sheaf_cohomology_dim", off_by_one)
+        with pytest.raises(AssertionError) as caught:
+            mhs_table(validate_spec(n, m, table=True), VarietyInvariants(*inv))
+        assert str(caught.value) == message
 
 
 class TestMhsSweeps:
