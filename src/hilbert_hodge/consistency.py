@@ -82,6 +82,7 @@ class CheckReport:
 SWEEP_GENERA = (0, 1, 2, 3)  # the genus and cusp grids of every table sweep
 SWEEP_CUSPS = (1, 2, 5)
 RESULT_BUDGET = 10**5  # results per sweep: admits --max-n 1 --max-m 443 (7 s)
+BLOCK_BUDGET = 2 * 10**5  # oracle blocks per sweep: admits --max-n 16 --max-m 0 (6 s)
 
 
 def sweep_invariants(n: int):
@@ -99,8 +100,8 @@ class SweepBounds:
     """Bounds of the verification sweep: table checks for every non-trivial
     system with ``2 <= n <= max_n`` and weights up to ``max_m`` over the
     genus and cusp grids, and the homology oracle also at ``n = 1``.  A sweep
-    over ``higgs.ORACLE_CAP`` basis elements in all, or over ``RESULT_BUDGET``
-    results, is refused before any work.
+    over ``higgs.ORACLE_CAP`` basis elements in all, over ``BLOCK_BUDGET``
+    blocks or over ``RESULT_BUDGET`` results is refused before any work.
     """
 
     max_n: int = 4
@@ -112,21 +113,23 @@ class SweepBounds:
             raise ConfigError(f"max_n must be >= 1, got {self.max_n}")
         if self.max_m < 0:
             raise ConfigError(f"max_m must be >= 0, got {self.max_m}")
-        n, elements, _, results = self.sizes()
-        if elements > higgs.ORACLE_CAP or results > RESULT_BUDGET:
+        n, elements, blocks, _, results = self.sizes()
+        if elements > higgs.ORACLE_CAP or blocks > BLOCK_BUDGET or results > RESULT_BUDGET:
             raise ConfigError(
                 f"sweep too large: up to n = {n} it builds {elements} basis elements "
-                f"(cap {higgs.ORACLE_CAP}) and records {results} results "
-                f"(budget {RESULT_BUDGET})"
+                f"(cap {higgs.ORACLE_CAP}) in {blocks} blocks (budget {BLOCK_BUDGET}) "
+                f"and records {results} results (budget {RESULT_BUDGET})"
             )
 
-    def sizes(self) -> tuple[int, int, int, int]:
-        """``(n, elements, tables, results)`` in closed form, summed up to
-        ``max_n`` or to the first ``n`` whose sum passes ``higgs.ORACLE_CAP``."""
+    def sizes(self) -> tuple[int, int, int, int, int]:
+        """``(n, elements, blocks, tables, results)`` in closed form, summed up
+        to ``max_n`` or to the first ``n`` whose sum passes ``higgs.ORACLE_CAP``.
+        A weight ``m_i`` gives ``m_i + 2`` block values ``-1 <= s_i <= m_i``."""
         w = self.max_m + 1  # weights per factor
-        elements = tables = results = 0
+        elements = blocks = tables = results = 0
         for n in range(1, self.max_n + 1):
             elements += (w * (w + 1)) ** n
+            blocks += (w * (w + 3) // 2) ** n
             # |m| + n + 1 slices and one chain check per system
             results += w**n * (n * (w + 1) + 4) // 2
             if n >= 2:  # three subset counts per non-trivial system
@@ -134,7 +137,7 @@ class SweepBounds:
                 results += 3 * (w**n - 1)
             if elements > higgs.ORACLE_CAP:
                 break
-        return n, elements, tables, results + 3 * tables  # three per table
+        return n, elements, blocks, tables, results + 3 * tables  # three per table
 
 
 def _iter_weights(n: int, max_m: int):

@@ -42,7 +42,7 @@ refused from its closed-form size, before anything is built.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import comb
@@ -240,7 +240,7 @@ def homology(cx: HiggsChainComplex) -> SheafMatrix:
     rows are filled from the differential only in the degrees it has entries
     in, and each block with homology is named by its first element's monomial."""
     n, m = cx.spec.n, cx.spec.m
-    cells: dict[tuple[int, int], Counter] = {}
+    cells = defaultdict(Counter)
     for (s, sizes), d in zip(cx.blocks, cx.differentials):
         rows = {}  # degree l -> dense rows of d_l, for the degrees with entries
         for (l, tgt, src), coeff in d.items():
@@ -256,8 +256,8 @@ def homology(cx: HiggsChainComplex) -> SheafMatrix:
                 raise AssertionError("rank bookkeeping produced a negative dimension")
             if dim:
                 mono = mono or _element(s, [st[0] for st in _states(s, m)]).monomial(m)
-                cells.setdefault((cx.P, l), Counter())[mono] = dim
-    return SheafMatrix(cells)
+                cells[cx.P, l][mono] = dim
+    return SheafMatrix(dict(cells))
 
 
 def full_homology(spec: LocalSystemSpec) -> SheafMatrix:

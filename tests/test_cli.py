@@ -254,11 +254,16 @@ class TestVerifyVerb:
         "max_n, max_m, sizes",
         [
             ("30", "3", "up to n = 5 it builds 3368420 basis elements (cap 1000000) "
+             "in 579194 blocks (budget 200000) "
              "and records 61768 results (budget 100000)"),
             ("1", "998", "up to n = 1 it builds 999000 basis elements (cap 1000000) "
+             "in 500499 blocks (budget 200000) "
              "and records 501498 results (budget 100000)"),
+            ("17", "0", "up to n = 17 it builds 262142 basis elements (cap 1000000) "
+             "in 262142 blocks (budget 200000) "
+             "and records 187 results (budget 100000)"),
         ],
-        ids=["over-the-cap", "over-the-result-budget"],
+        ids=["over-the-cap", "over-the-result-budget", "over-the-block-budget"],
     )
     def test_oversized_sweep_refused_before_any_work(
         self, capsys, monkeypatch, max_n, max_m, sizes

@@ -22,12 +22,7 @@ from hilbert_hodge import (
     validate_spec,
 )
 from hilbert_hodge import consistency, higgs
-from hilbert_hodge.consistency import (
-    SWEEP_CUSPS,
-    SWEEP_GENERA,
-    constant_coefficient_ih_dim,
-    iter_table_inputs,
-)
+from hilbert_hodge.consistency import constant_coefficient_ih_dim, iter_table_inputs
 
 SUBSET_COUNT_FAMILIES = (
     "subset_count_sum", "subset_count_agreement", "subset_count_symmetry"
@@ -229,25 +224,39 @@ class TestSweepSizes:
         start = perf_counter()
         for max_n, max_m in product(range(1, 4), range(3)):
             bounds = SweepBounds(max_n, max_m)
-            elements = sum(
-                build_log_higgs_complex(spec, P).total_size
+            complexes = [
+                build_log_higgs_complex(spec, P)
                 for n in range(1, max_n + 1)
                 for m in product(range(max_m + 1), repeat=n)
                 for spec in [validate_spec(n, m)]
                 for P in range(spec.weight + n + 1)
-            )
+            ]
+            elements = sum(cx.total_size for cx in complexes)
+            blocks = sum(len(cx.blocks) for cx in complexes)
             tables = len(list(iter_table_inputs(bounds)))
             results = len(run_verification(bounds).results)
-            assert bounds.sizes() == (max_n, elements, tables, results)
+            assert bounds.sizes() == (max_n, elements, blocks, tables, results)
         assert perf_counter() - start < 2
 
+    def test_closed_form_blocks_equal_the_built_blocks_at_weight_zero(self):
+        # every element of m = (0,)*n is a block of its own
+        blocks = 0
+        for n in range(1, 11):
+            spec = validate_spec(n, (0,) * n)
+            blocks += sum(
+                len(build_log_higgs_complex(spec, P).blocks) for P in range(n + 1)
+            )
+            assert SweepBounds(n, 0).sizes()[2] == blocks == 2 ** (n + 1) - 2
+
     def test_default_and_benchmark_sweeps(self):
-        assert SweepBounds().sizes() == (4, 168_420, 3_807, 16_230)
-        assert SweepBounds(4, 2).sizes() == (4, 22_620, 1_290, 5_304)
-        assert SweepBounds(7, 1).sizes() == (7, 335_922, 2_457, 10_924)
+        assert SweepBounds().sizes() == (4, 168_420, 41_370, 3_807, 16_230)
+        assert SweepBounds(4, 2).sizes() == (4, 22_620, 7_380, 1_290, 5_304)
+        assert SweepBounds(7, 1).sizes() == (7, 335_922, 97_655, 2_457, 10_924)
+        # the most blocks at weight 0 that BLOCK_BUDGET admits; 17/0 is refused
+        assert SweepBounds(16, 0).sizes() == (16, 131_070, 131_070, 0, 168)
 
     def test_result_budget_edge(self):
-        assert SweepBounds(1, 443).sizes()[3] == 99_678
+        assert SweepBounds(1, 443).sizes()[2:] == (99_234, 0, 99_678)
         with pytest.raises(ConfigError, match="records 100125 results"):
             SweepBounds(1, 444)
 
@@ -290,18 +299,6 @@ class TestFullSweep:
         passed, failed = report.counts()
         assert failed == 0
         assert passed > 100
-
-    def test_default_sweep_passes(self):
-        # n in {2,3,4}, m_i <= 3, g <= 3, h in {1,2,5}; a failure here is
-        # a build-breaking regression
-        bounds = SweepBounds()
-        assert (bounds.max_n, bounds.max_m) == (4, 3)
-        assert SWEEP_GENERA == (0, 1, 2, 3)
-        assert SWEEP_CUSPS == (1, 2, 5)
-        report = run_verification(bounds)
-        assert report.ok, [
-            (r.name, r.params, r.lhs, r.rhs) for r in report.results if not r.ok
-        ][:5]
 
     def test_subset_counts_once_per_system(self):
         bounds = SweepBounds(max_n=3, max_m=1)
