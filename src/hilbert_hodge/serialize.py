@@ -10,10 +10,13 @@ One envelope serves every CLI verb:
 
 Only the sections a verb produces are present.  Keys are emitted sorted and
 arrays are sorted by (k, p, q), so identical inputs give byte-identical
-output everywhere.  :func:`dump_json`, the package's own encoder, joins
-pieces once into exactly what ``json.dumps(doc, sort_keys=True, indent=2)``
-writes, taking a list of flat same-keyed dicts column by column.  Documents
-are read-only: the labels of one monomial share one ``exponents`` list.
+output everywhere.  :func:`dump_json`, the package's own encoder, writes
+exactly what ``json.dumps(doc, sort_keys=True, indent=2)`` writes.  It puts
+the texts of a document in one list and joins them once, so no container
+copies the text of what it holds.  A list of flat records (same-keyed dicts,
+such as a table's graded-piece labels) goes in runs of texts shared between
+its records (:func:`_records`).  Documents are read-only: the labels of one
+monomial share one ``exponents`` list, and its text is built once.
 :func:`tables_from_document` inverts the table part, which is what the
 golden-file round-trip tests rely on.  The tables follow from ``spec`` and
 ``invariants`` alone, so a document is read back only if it is exactly the
@@ -26,8 +29,8 @@ that the format and every pinned output stay unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import chain
+from collections.abc import Iterator, Sequence
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from reprlib import repr as _brief
@@ -184,13 +187,13 @@ def verify_document(report: CheckReport, bounds_desc: dict) -> dict:
 def dump_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a final newline."""
     pieces: list[str] = []
-    _encode(doc, "\n", {}, pieces.append)
+    _encode(doc, "\n", {}, pieces)
     pieces.append("\n")
     return "".join(pieces)
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
-_SLICE = 256  # list items per _records call: bounds the texts held at once
+_SLICE = 256  # list items per _records call: bounds its transient column lists
 
 
 def _ints(value: list, newline: str) -> str:
@@ -201,13 +204,14 @@ def _ints(value: list, newline: str) -> str:
     return f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]"
 
 
-def _encode(value, newline: str, texts: dict, write) -> None:
-    """Hand one value whose closing bracket starts at ``newline`` to ``write``
-    in pieces, joining no container's text; only dicts with str keys, lists,
+def _encode(value, newline: str, texts: dict, pieces: list) -> None:
+    """Append one value whose closing bracket starts at ``newline`` to
+    ``pieces``, joining no container's text; only dicts with str keys, lists,
     str, int, bool and None are accepted.  A list goes by slices of ``_SLICE``
-    items, each one piece from :func:`_records` if it can, else item by item.
-    ``texts`` is the int-list store of one :func:`dump_json` call."""
+    items, each one run of texts from :func:`_records` if it can, else item
+    by item.  ``texts`` is the int-list store of one :func:`dump_json` call."""
     cls = type(value)
+    write = pieces.append
     if cls is str:
         write(_quote(value))
     elif cls is int:
@@ -221,13 +225,14 @@ def _encode(value, newline: str, texts: dict, write) -> None:
         sep = "[" + inner
         for i in range(0, len(value), _SLICE):
             part = value[i : i + _SLICE]
-            text = _records(part, inner, texts)
-            if text is not None:
-                write(sep + text)
+            run = _records(part, inner, texts)
+            if run is not None:
+                write(sep)
+                pieces.extend(run)
             else:
                 for item in part:
                     write(sep)
-                    _encode(item, inner, texts, write)
+                    _encode(item, inner, texts, pieces)
                     sep = "," + inner
             sep = "," + inner
         write(newline + "]")
@@ -240,19 +245,21 @@ def _encode(value, newline: str, texts: dict, write) -> None:
         sep = "{" + inner
         for key, item in sorted(value.items()):
             write(f"{sep}{_quote(key)}: ")
-            _encode(item, inner, texts, write)
+            _encode(item, inner, texts, pieces)
             sep = "," + inner
         write(newline + "}")
     else:
         raise TypeError(f"cannot encode {cls.__name__} {value!r} as JSON")
 
 
-def _records(items: list, newline: str, texts: dict) -> str | None:
-    """List items at ``newline`` if all are dicts with the same str keys and
-    columns of str, of int, of bool or None, or of int lists; else None.
-    Each column is encoded in one call and each record is one ``%`` fill.
-    ``texts[newline]`` keeps the text of each int list (short, unlike other
-    lists) by ``id``, alive while the document is, to encode it once."""
+def _records(items: list, newline: str, texts: dict) -> Iterator[str] | None:
+    """List items at ``newline`` as a run of texts if all are dicts with the
+    same str keys and columns of str, of int, of bool or None, or of int
+    lists; else None.  The run interleaves each column's texts with the text
+    between columns, built once, into which a column of one value is folded.
+    A scalar column encodes each distinct value once, and ``texts[newline]``
+    keeps the text of each int list (short, unlike other lists) by ``id``,
+    alive while the document is, so no text is built or copied per record."""
     if set(map(type, items)) != {dict} or set(
         map(type, chain.from_iterable(items))
     ) != {str}:
@@ -262,12 +269,13 @@ def _records(items: list, newline: str, texts: dict) -> str | None:
         return None
     inner = newline + "  "
     known = texts.setdefault(inner, {})
-    columns = []
-    for key in keys:
+    const, parts = "", []
+    for key, head in zip(keys, chain(["{"], repeat(","))):
         try:
             column = list(map(itemgetter(key), items))
         except KeyError:  # as many keys, but not the same ones
             return None
+        const += f"{head}{inner}{_quote(key)}: "
         kinds = set(map(type, column))
         if kinds == {list}:
             fresh = dict(zip(map(id, column), column))
@@ -275,18 +283,22 @@ def _records(items: list, newline: str, texts: dict) -> str | None:
                 if not set(map(type, fresh[i])) <= {int}:
                     return None
                 known[i] = _ints(fresh[i], inner)
-            columns.append(map(known.__getitem__, map(id, column)))
-        elif kinds == {str}:
-            columns.append(map(_quote, column))
-        elif kinds == {int}:
-            columns.append(map(int.__repr__, column))
-        elif kinds <= {bool, type(None)}:
-            columns.append(map(_LITERALS.__getitem__, column))
+            column = map(known.__getitem__, map(id, column))
+        elif kinds in ({str}, {int}) or kinds <= {bool, type(None)}:
+            encode = {str: _quote, int: int.__repr__}.get(kinds.pop(), _LITERALS.get)
+            text_of = {value: encode(value) for value in set(column)}
+            if len(text_of) == 1:
+                const += text_of[column[0]]
+                continue
+            column = map(text_of.__getitem__, column)
         else:
             return None
-    fields = [_quote(k).replace("%", "%%") + ": %s" for k in keys]
-    template = "{" + inner + ("," + inner).join(fields) + newline + "}"
-    return ("," + newline).join(map(template.__mod__, zip(*columns)))
+        parts += [repeat(const), column]
+        const = ""
+    close = const + newline + "}"
+    lead = next(parts.pop(0)) if parts else ""  # merged into each record's end
+    ends = chain(repeat(f"{close},{newline}{lead}", len(items) - 1), [close])
+    return chain([lead], chain.from_iterable(zip(*parts, ends)))
 
 
 def tables_from_document(

@@ -4,6 +4,7 @@ package's encoder writes exactly what the stdlib's ``json.dumps`` writes."""
 import json
 import re
 import reprlib
+import tracemalloc
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -261,6 +262,34 @@ def test_dump_json_joins_slices_that_took_different_paths(depth):
     for _ in range(depth - 1):
         doc = {"list": [doc["list"]]}
     assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_writes_records_whose_columns_vary_by_slice():
+    # slices of 256 records: "on" is true throughout the first and mixes
+    # true, false and null in the second; "off" is null everywhere; "k",
+    # "%s" and "%%" repeat their values; "xs" shares three list objects
+    shared = [[1, -2], [], [2**70]]
+    records = [
+        {"on": True if i < 256 else (True, False, None)[i % 3], "off": None,
+         "k": i % 7 - 3, "%s": "ab"[i % 2] * (i % 5), "%%": "same",
+         "xs": shared[i % 3]}
+        for i in range(600)
+    ]
+    for doc in (records, {"depth": [records]}):
+        assert dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dump_json_holds_little_beyond_its_output():
+    # the record path shares its texts instead of copying them per record
+    # and per slice: at the n = 10 table the peak was twice the output
+    *_, doc = build_table_doc(n=10, m=(3,) * 10, h=5, g=3)
+    tracemalloc.start()
+    try:
+        text = dump_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(text)
 
 
 def _exponent_lists(value):
