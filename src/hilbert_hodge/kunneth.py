@@ -66,14 +66,14 @@ def count_N(m, P: int) -> int:
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + weights[i]
 
-    def rec(idx: int, need: int) -> int:
-        if need == 0:
-            return 1
-        if need < 0 or suffix[idx] < need:
-            return 0
-        return rec(idx + 1, need - weights[idx]) + rec(idx + 1, need)
-
-    return rec(0, P)
+    count, stack = 0, [(0, P)]  # (index, sum still needed)
+    while stack:
+        idx, need = stack.pop()
+        while 0 < need <= suffix[idx]:  # leave out weights[idx], stack taking it
+            stack.append((idx + 1, need - weights[idx]))
+            idx += 1
+        count += need == 0
+    return count
 
 
 def weight_counts(m) -> tuple[int, ...]:

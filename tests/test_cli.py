@@ -1,5 +1,6 @@
 """CLI behavior: verbs, formats, config handling, exit codes."""
 
+import gc
 import json
 import sys
 from collections import Counter
@@ -694,6 +695,102 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "table" in capsys.readouterr().out
+
+
+def break_one_dictionary_entry(monkeypatch):
+    """One more than the true dimension of ``H^0(Xbar, L1^3 L2^3)``, so the
+    tables of n = 2, m = (1, 1) fail their ``table_assembly`` check."""
+    original = tables.sheaf_cohomology_dim
+
+    def off_by_one(label, spec, inv):
+        hit = label[0] == 0 and label[1].exponents == (3, 3)
+        return original(label, spec, inv) + hit
+
+    monkeypatch.setattr(tables, "sheaf_cohomology_dim", off_by_one)
+
+
+TABLE_ARGV = ("table", "--n", "3", "--m", "2,0,1", "--cusps", "3", "--genus", "2")
+REFUSED_ARGV = ("verify", "--max-n", "18", "--max-m", "0")
+FAILED_ARGV = ("verify", "--max-n", "2", "--max-m", "1")
+
+
+class TestNoCycles:
+    """``main`` may pause the cyclic collector only because no verb makes a
+    reference cycle: run with the collector off, a verb leaves no more
+    cyclic garbage than building the parser alone does."""
+
+    @staticmethod
+    def cyclic_garbage(call) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(argv + ("--format", fmt), 0, id=f"{argv[0]}-{fmt}")
+            for argv in (
+                TABLE_ARGV,
+                ("sheaf-matrix", "--n", "3", "--m", "2,0,1"),
+                ("eisenstein", "--n", "3", "--m", "2,2,2", "--cusps", "1",
+                 "--genus", "1"),
+                ("verify", "--max-n", "3", "--max-m", "2"),
+            )
+            for fmt in ("text", "json")
+        ]
+        + [
+            pytest.param(REFUSED_ARGV, 1, id="refused"),
+            pytest.param(FAILED_ARGV, 2, id="failed-check"),
+        ],
+    )
+    def test_verb_leaves_no_cyclic_garbage(self, capsys, monkeypatch, argv, code):
+        if code == 2:
+            break_one_dictionary_entry(monkeypatch)
+        parser_only = self.cyclic_garbage(cli.build_parser)
+        codes = []
+        leftover = self.cyclic_garbage(lambda: codes.append(cli.main(list(argv))))
+        assert codes == [code], capsys.readouterr().err
+        assert leftover <= parser_only
+
+
+class TestCollectorState:
+    """``main`` pauses the cyclic collector while a verb runs and leaves it
+    as it found it, however the verb ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(TABLE_ARGV, 0), (REFUSED_ARGV, 1), (FAILED_ARGV, 2)],
+        ids=["ok", "refused", "failed-check"],
+    )
+    def test_exit_status(self, capsys, monkeypatch, collecting, argv, code):
+        if code == 2:
+            break_one_dictionary_entry(monkeypatch)
+        assert cli.main(list(argv)) == code
+        assert gc.isenabled() is collecting
+
+    def test_unexpected_exception_propagates(self, monkeypatch, collecting):
+        seen = []
+
+        def broken(spec, inv):
+            seen.append(gc.isenabled())
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(cli, "mhs_table", broken)
+        with pytest.raises(RuntimeError, match="forced failure"):
+            cli.main(list(TABLE_ARGV))
+        assert seen == [False]
+        assert gc.isenabled() is collecting
 
 
 class TestTextAndLatexGolden:

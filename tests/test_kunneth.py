@@ -7,6 +7,7 @@ the direct construction."""
 from collections import Counter
 from itertools import combinations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hilbert_hodge import (
@@ -16,6 +17,7 @@ from hilbert_hodge import (
     validate_spec,
     weight_counts,
 )
+from hilbert_hodge.errors import BadDegree
 from kunneth_reference import (
     concat,
     kunneth_product,
@@ -158,11 +160,15 @@ class TestSubsetCounts:
     def test_out_of_range(self):
         assert count_N((1, 1), 99) == 0
         assert count_N((1, 1), -1) == 0
+        with pytest.raises(BadDegree, match="supports n <= 64, got n = 65"):
+            count_N((0,) * 65, 2)
 
     def test_large_n_fast_path(self):
-        m = (0,) * 30
-        counts = weight_counts(m)
         from math import comb
 
-        assert counts == tuple(comb(30, P) for P in range(31))
-        assert count_N(m, 3) == comb(30, 3)
+        # n = 64 is the documented limit of the subset count
+        for n, P in ((30, 3), (64, 2)):
+            m = (0,) * n
+            counts = weight_counts(m)
+            assert counts == tuple(comb(n, k) for k in range(n + 1))
+            assert count_N(m, P) == comb(n, P)
