@@ -18,6 +18,7 @@ only reclaims reference cycles, no verb makes one (``TestNoCycles`` in
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import re
@@ -342,6 +343,7 @@ VERBS = {
 }
 
 
+@functools.cache  # a parser is a web of cycles: build it once, on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbert-hodge",

@@ -33,10 +33,11 @@ the builder made, not on the template: each block of two entries or more is
 grouped per degree into ``source -> [(target, coeff)]``, and the first
 source with a non-zero composite is raised with its block, ``P`` and degree.
 Ranks are taken per block by exact gcd-normalised elimination, only of the
-differentials that have entries: any other is zero, of rank 0.  Homology
-comes back as a ``SheafMatrix``, the type of the closed form, but nothing
-here knows the closed-form answer: this is the independent side of the
-cross-validation.  A slice over the fixed size cap ``ORACLE_CAP`` is
+differentials that have entries (any other is zero, of rank 0), by
+increasing degree, each without the pivot sources of the one below.
+Homology comes back as a ``SheafMatrix``, the type of the closed form, but
+nothing here knows the closed-form answer: this is the independent side of
+the cross-validation.  A slice over the fixed size cap ``ORACLE_CAP`` is
 refused from its closed-form size, before anything is built.
 """
 
@@ -236,24 +237,34 @@ def build_log_higgs_complex(
 
 def homology(cx: HiggsChainComplex) -> SheafMatrix:
     """Homology of one complex, computed blockwise by exact integer rank:
-    ``dim H^l = dim(term_l) - rank(d_l) - rank(d_{l-1})`` per block.  Dense
-    rows are filled from the differential only in the degrees it has entries
-    in, and each block with homology is named by its first element's monomial."""
+    ``dim H^l = dim(term_l) - rank(d_l) - rank(d_{l-1})`` per block.  Each
+    ``d_l`` with entries is a dense row per source, ranked in increasing
+    ``l`` without the pivot sources of ``d_{l-1}``.  Precondition: the chain
+    check has passed, as both callers ensure.  Then each echelon row of
+    ``d_{l-1}`` is in ``im d_{l-1} <= ker d_l``, so a pivot source's image
+    combines those of later sources: ``rank d_l`` is unchanged.  Each block
+    with homology is named by its first element's monomial."""
     n, m = cx.spec.n, cx.spec.m
     cells = defaultdict(Counter)
     for (s, sizes), d in zip(cx.blocks, cx.differentials):
-        rows = {}  # degree l -> dense rows of d_l, for the degrees with entries
+        rows = {}  # degree l -> d_l, a dense row per source, if it has entries
         for (l, tgt, src), coeff in d.items():
             if l not in rows:
-                rows[l] = [[0] * sizes[l] for _ in range(sizes[l + 1])]
-            rows[l][tgt][src] = coeff
-        # the rank of d_l at l + 1; a d_l with no entry is zero, of rank 0
-        ranks = {l + 1: integer_matrix_rank(r) for l, r in rows.items()}
+                rows[l] = [[0] * sizes[l + 1] for _ in range(sizes[l])]
+            rows[l][src][tgt] = coeff
+        ranks, cleared = [0] * (n + 2), None  # rank of d_l at l + 1
+        for l in sorted(rows):
+            for src in reversed(cleared or ()):  # the pivot sources of d_{l-1}
+                del rows[l][src]
+            cleared = [] if l + 1 in rows else None  # only if d_{l+1} is ranked
+            ranks[l + 1] = integer_matrix_rank(rows[l], cleared)
         mono = None
         for l in range(n + 1):
-            dim = sizes[l] - ranks.get(l + 1, 0) - ranks.get(l, 0)
-            if dim < 0:
-                raise AssertionError("rank bookkeeping produced a negative dimension")
+            if (dim := sizes[l] - ranks[l + 1] - ranks[l]) < 0:
+                raise AssertionError(
+                    f"negative dimension in block s={s} for P={cx.P}: degree {l}, "
+                    f"rank d_{{{l}}} = {ranks[l + 1]}, rank d_{{{l - 1}}} = {ranks[l]}"
+                )
             if dim:
                 mono = mono or _element(s, [st[0] for st in _states(s, m)]).monomial(m)
                 cells[cx.P, l][mono] = dim

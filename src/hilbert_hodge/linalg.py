@@ -1,13 +1,14 @@
 """Exact rank of integer matrices by gcd-normalised elimination.
 
-Plain Python integers keep every value exact.  A matrix with more rows than
-columns is eliminated as its transpose, of the same rank.  Below each
-pivot, a row whose entry in the pivot column is 0 is left alone; every
-other row becomes ``pivot * row - factor * pivot_row``, divided by the gcd
-of its entries.  Scaling a row by the non-zero pivot, adding a multiple of
-another row and dividing by a non-zero integer are invertible row
-operations over the rationals, so the rank never changes.  A reduced row is
-proportional to the row that fraction-free elimination would hold there,
+Plain Python integers keep every value exact.  Columns are eliminated in
+turn, in the orientation given; those that get a pivot, the pivot columns,
+are the ones outside the span of the columns before them, whatever the row
+order.  Below each pivot, a row whose entry in the pivot column is 0 is left
+alone; every other row becomes ``pivot * row - factor * pivot_row``, divided
+by the gcd of its entries.  Scaling a row by the non-zero pivot, adding a
+multiple of another row and dividing by a non-zero integer are invertible
+row operations over the rationals, so the rank never changes.  A reduced row
+is proportional to the row that fraction-free elimination would hold there,
 whose entries are minors of the input; being primitive, it is no larger.
 """
 
@@ -17,12 +18,11 @@ from math import gcd
 from typing import Sequence
 
 
-def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+def integer_matrix_rank(rows: Sequence[Sequence[int]], pivots=None) -> int:
     """Rank of an integer matrix given as a sequence of rows (possibly
-    empty); a reduced row is a new list, so the rows given never change."""
+    empty), its pivot columns appended to ``pivots`` if that is a list; a
+    reduced row is a new list, so the rows given never change."""
     m = list(rows)
-    if m and len(m) > len(m[0]):  # rank(A) = rank(A^T): eliminate the wide way
-        m = list(zip(*m))
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
     rank = 0
@@ -36,6 +36,8 @@ def integer_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
         row_p = m[rank]
         pivot = row_p[col]
         rank += 1
+        if pivots is not None:
+            pivots.append(col)
         if rank == n_rows or col + 1 == n_cols:
             break  # no row or no column left to reduce
         for i in range(rank, n_rows):

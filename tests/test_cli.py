@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -716,8 +718,9 @@ FAILED_ARGV = ("verify", "--max-n", "2", "--max-m", "1")
 
 class TestNoCycles:
     """``main`` may pause the cyclic collector only because no verb makes a
-    reference cycle: run with the collector off, a verb leaves no more
-    cyclic garbage than building the parser alone does."""
+    reference cycle: run with the collector off, a verb leaves no cyclic
+    garbage.  The parser is built once per process and kept, so no call
+    leaves one behind either."""
 
     @staticmethod
     def cyclic_garbage(call) -> int:
@@ -750,11 +753,32 @@ class TestNoCycles:
     def test_verb_leaves_no_cyclic_garbage(self, capsys, monkeypatch, argv, code):
         if code == 2:
             break_one_dictionary_entry(monkeypatch)
-        parser_only = self.cyclic_garbage(cli.build_parser)
+        cli.build_parser()  # what building it leaves is left once per process
         codes = []
         leftover = self.cyclic_garbage(lambda: codes.append(cli.main(list(argv))))
         assert codes == [code], capsys.readouterr().err
-        assert leftover <= parser_only
+        assert leftover == 0
+
+
+class TestParserBuiltOnce:
+    def test_import_builds_none_and_main_builds_one(self):
+        # a fresh interpreter, so no earlier test has built the parser
+        code = (
+            "import contextlib, io\n"
+            "from hilbert_hodge import cli\n"
+            "assert cli.build_parser.cache_info().currsize == 0\n"
+            "argv = ['sheaf-matrix', '--n', '1', '--m', '1']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(list(argv)) for _ in range(3)]\n"
+            "info = cli.build_parser.cache_info()\n"
+            "assert codes == [0] * 3 and (info.misses, info.hits) == (1, 2), info\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestCollectorState:

@@ -24,6 +24,8 @@ from hilbert_hodge import SweepBounds, consistency, higgs
 from hilbert_hodge.higgs import HiggsBasisElement, slice_size
 from hilbert_hodge.linalg import integer_matrix_rank
 
+from higgs_reference import uncleared_homology
+
 
 def mono(*exps):
     return LineBundleMonomial(tuple(exps))
@@ -274,7 +276,7 @@ class TestIndependence:
         assert any(build_log_higgs_complex(spec, 2).differentials)
         want = cohomology_sheaf_closed_form(spec).sorted_cells()
         assert full_homology(spec).sorted_cells() == want
-        monkeypatch.setattr(higgs, "integer_matrix_rank", lambda rows: 0)
+        monkeypatch.setattr(higgs, "integer_matrix_rank", lambda rows, pivots=None: 0)
         assert full_homology(spec).sorted_cells() != want
 
     def test_grading_check_raises_on_an_entry_between_blocks(self):
@@ -374,9 +376,9 @@ class TestBlockwork:
     def test_one_rank_per_block_degree_with_two_nonzero_sizes(self, monkeypatch):
         calls = []
 
-        def counted(rows):
+        def counted(rows, pivots=None):
             calls.append(len(rows))
-            return integer_matrix_rank(rows)
+            return integer_matrix_rank(rows, pivots)
 
         want = 0
         for spec in ORACLE_LARGE:
@@ -389,6 +391,8 @@ class TestBlockwork:
                 cohomology_sheaf_closed_form(spec).sorted_cells()
             )
         assert len(calls) == want == 25_398
+        # rows ranked after clearing; uncleared, d_l has one per source: 78,640
+        assert sum(calls) == 43_680
 
     def test_blocks_of_one_shape_share_no_entry_values(self):
         # every block with the same (k, z) gets its keys from one list; its
@@ -450,6 +454,89 @@ class TestBlockwork:
             assert len(stores) == 5 and all(st is stores[0] for st in stores)
             assert isinstance(stores[0], dict) and stores[0] is not first
             first = stores[0]
+
+
+class TestClearing:
+    """Clearing the pivot sources of ``d_{l-1}`` before ranking ``d_l`` keeps
+    every block's homology, and is only reached past the chain check."""
+
+    def test_blocks_match_uncleared_ranks_on_the_sweep(self):
+        koszul = {}
+        for spec in sweep_specs(4, 3):
+            for P in range(spec.weight + spec.n + 1):
+                cx = build_log_higgs_complex(spec, P, koszul)
+                assert homology(cx).cells == uncleared_homology(cx), (spec.m, P)
+
+    @pytest.mark.parametrize("spec", ORACLE_LARGE, ids=lambda spec: str(spec.m))
+    def test_blocks_match_uncleared_ranks_on_the_oracle_large_systems(self, spec):
+        for P in range(spec.weight + spec.n + 1):
+            cx = build_log_higgs_complex(spec, P)
+            assert homology(cx).cells == uncleared_homology(cx), P
+
+    def test_both_callers_check_the_chain_before_homology(self, monkeypatch):
+        events = []  # (what, complex), in call order
+        check, ranked = HiggsChainComplex.verify_chain_property, higgs.homology
+
+        def checked(cx):
+            events.append(("check", cx))
+            return check(cx)
+
+        def recorded(cx):
+            events.append(("homology", cx))
+            return ranked(cx)
+
+        monkeypatch.setattr(HiggsChainComplex, "verify_chain_property", checked)
+        monkeypatch.setattr(higgs, "homology", recorded)
+        monkeypatch.setattr(consistency, "homology", recorded)
+        full_homology(validate_spec(2, (1, 1)))
+        assert consistency.check_oracle_equivalence(SweepBounds(2, 1)).ok
+        # 5 slices of m = (1, 1), then 5 at n = 1 and 16 at n = 2 of the sweep
+        assert len(events) == 2 * (5 + 21)
+        for (first, cx), (then, same) in zip(events[::2], events[1::2]):
+            assert (first, then) == ("check", "homology") and cx is same
+
+    def test_a_negated_entry_fails_the_chain_check_not_homology(self, monkeypatch):
+        build, homologies = build_log_higgs_complex, []
+
+        def negated(spec, P, koszul=None):
+            cx = build(spec, P, koszul)
+            if spec.m == (1, 1) and P == 2:  # its block (0, 0) has 2 free factors
+                d = cx.differentials[[s for s, _ in cx.blocks].index((0, 0))]
+                d[next(iter(d))] *= -1
+            return cx
+
+        def recorded(cx):
+            homologies.append((cx.spec.m, cx.P))
+            return homology(cx)
+
+        for module in (higgs, consistency):
+            monkeypatch.setattr(module, "build_log_higgs_complex", negated)
+            monkeypatch.setattr(module, "homology", recorded)
+        with pytest.raises(AssertionError, match=r"^d o d != 0 in block s=\(0, 0\)"):
+            full_homology(validate_spec(2, (1, 1)))
+        assert homologies == [((1, 1), 0), ((1, 1), 1)]
+        report = consistency.check_oracle_equivalence(SweepBounds(2, 1))
+        failed = [r for r in report.results if not r.ok]
+        assert [r.name for r in failed] == ["chain_property"]
+        assert "d o d != 0 in block s=(0, 0) for P=2" in failed[0].lhs
+        assert not any(
+            r.params == failed[0].params
+            for r in report.results if r.name == "oracle_equivalence"
+        )
+        assert ((1, 1), 2) not in homologies[2:]
+
+    def test_a_negative_dimension_names_its_block_degree_and_ranks(self, monkeypatch):
+        def over_reported(rows, pivots=None):
+            return integer_matrix_rank(rows, pivots) + 1
+
+        monkeypatch.setattr(higgs, "integer_matrix_rank", over_reported)
+        cx = build_log_higgs_complex(validate_spec(2, (1, 1)), 2)
+        with pytest.raises(
+            AssertionError,
+            match=r"^negative dimension in block s=\(0, 0\) for P=2: degree 0, "
+            r"rank d_\{0\} = 2, rank d_\{-1\} = 0$",
+        ):
+            homology(cx)
 
 
 def hand_built(n, sizes, d):

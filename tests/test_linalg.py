@@ -1,6 +1,7 @@
-"""The gcd-normalised integer rank is checked against plain rational
-elimination over ``Fraction``, on hand cases, on random matrices up to the
-size of the largest oracle block, and on inputs it must leave unchanged."""
+"""The gcd-normalised integer rank and its pivot columns are checked against
+plain rational elimination over ``Fraction``, on hand cases, on random
+matrices up to the size of the largest oracle block, and on inputs it must
+leave unchanged."""
 
 import random
 from fractions import Fraction
@@ -8,12 +9,13 @@ from fractions import Fraction
 from hilbert_hodge.linalg import integer_matrix_rank
 
 
-def rank_by_fractions(rows):
-    """Independent oracle: textbook Gaussian elimination over Fraction."""
+def pivots_by_fractions(rows):
+    """Independent oracle: textbook Gaussian elimination over Fraction; the
+    pivot columns, as many as the rank."""
     m = [[Fraction(x) for x in row] for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
-    rank = 0
+    rank, pivots = 0, []
     for col in range(n_cols):
         pivot = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
         if pivot is None:
@@ -24,9 +26,21 @@ def rank_by_fractions(rows):
             for j in range(col, n_cols):
                 m[i][j] -= f * m[rank][j]
         rank += 1
+        pivots.append(col)
         if rank == n_rows:
             break
-    return rank
+    return pivots
+
+
+def rank_by_fractions(rows):
+    return len(pivots_by_fractions(rows))
+
+
+def integer_pivots(rows):
+    pivots = []
+    rank = integer_matrix_rank(rows, pivots)
+    assert rank == len(pivots)
+    return pivots
 
 
 def test_hand_examples():
@@ -114,13 +128,45 @@ def test_rows_that_combine_other_rows():
         assert rank == rank_by_fractions(m) == rank_by_fractions(base) <= k
 
 
+def test_pivots_match_rational_elimination():
+    # tall, wide and square, sparse or dense, and rank-deficient products
+    rng = random.Random(1729)
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = sparse_matrix(rng, n_rows, n_cols, rng.choice([0.2, 0.5, 1.0]), 5)
+        assert integer_pivots(m) == pivots_by_fractions(m), m
+    for _ in range(100):
+        n, k, p = rng.randint(2, 9), rng.randint(1, 3), rng.randint(2, 9)
+        a = sparse_matrix(rng, n, k, 0.7, 4)
+        b = sparse_matrix(rng, k, p, 0.7, 4)
+        prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        pivots = integer_pivots(prod)
+        assert pivots == pivots_by_fractions(prod) and len(pivots) <= k, prod
+
+
+def test_a_pivot_column_is_independent_of_the_columns_before_it():
+    # the definition, which no elimination order changes: column j is a
+    # pivot column iff it raises the rank of the columns before it
+    rng = random.Random(11)
+    for _ in range(60):
+        n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+        m = sparse_matrix(rng, n_rows, n_cols, rng.choice([0.3, 0.7]), 3)
+        prefix = [rank_by_fractions([row[:j] for row in m]) for j in range(n_cols + 1)]
+        want = [j for j in range(n_cols) if prefix[j + 1] > prefix[j]]
+        shuffled = m[:]
+        rng.shuffle(shuffled)
+        assert integer_pivots(m) == integer_pivots(shuffled) == want, m
+
+
 def test_inputs_come_back_unchanged():
-    # a tall matrix is eliminated as its transpose, a wide one as given;
-    # both have rows below a pivot that elimination replaces
+    # a tall and a wide matrix, both eliminated as given; each has rows
+    # below a pivot that elimination replaces
     tall = [[0, 2, 4], [1, 1, 1], [3, 5, 7], [0, 0, 6]]
-    for rows in (tall, [list(col) for col in zip(*tall)]):
+    wide = [list(col) for col in zip(*tall)]  # its column 2 is 1 * col 0 + 3 * col 1
+    for rows, want in ((tall, [0, 1, 2]), (wide, [0, 1, 3])):
         as_lists = [list(row) for row in rows]
         as_tuples = tuple(map(tuple, rows))
         assert integer_matrix_rank(as_lists) == integer_matrix_rank(as_tuples) == 3
+        assert integer_pivots(as_lists) == integer_pivots(as_tuples) == want
         assert as_lists == rows
         assert as_tuples == tuple(map(tuple, rows))
