@@ -166,10 +166,10 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
     is checked alongside, one aggregated result per (n, m), so an entry
     outside its block is a recorded failure.  ``SweepBounds`` has refused
     any sweep over the oracle cap, so every slice is built; all slices share
-    one Koszul store, made for this sweep.
+    one Koszul store and one plan store, made for this sweep.
     """
     report = CheckReport()
-    koszul = {}
+    koszul, plans = {}, {}
     for n in range(1, bounds.max_n + 1):
         for m in _iter_weights(n, bounds.max_m):
             spec = validate_spec(n, m)
@@ -180,7 +180,7 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
                 cx = build_log_higgs_complex(spec, P, koszul)
                 try:
                     cx.verify_monomial_grading()
-                    cx.verify_chain_property()
+                    cx.verify_chain_property(plans)
                 except AssertionError as exc:
                     chain_ok = False
                     report.fail("chain_property", params, str(exc))

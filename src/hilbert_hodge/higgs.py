@@ -29,8 +29,9 @@ per ``k`` and entry keys per ``(k, z)``, as neither depends on the system or
 ``P``; each block fills its own dict, in block-local indices, over its keys.
 
 A slice is checked for ``d o d = 0`` before its homology, on the entries
-the builder made, not on the template: each block of two entries or more is
-grouped per degree into ``source -> [(target, coeff)]``, and the first
+the builder made, not on the template: each distinct key sequence's paths
+are derived once, in dicts that trust no index range, into a plan store the
+caller makes; each block is judged by its own coefficients, and the first
 source with a non-zero composite is raised with its block, ``P`` and degree.
 Ranks are taken per block by exact gcd-normalised elimination, only of the
 differentials that have entries (any other is zero, of rank 0), by
@@ -47,7 +48,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, product
 from math import comb
-from operator import add
+from operator import add, mul, sub
 
 from .errors import BadHodgeIndex, OracleSizeExceeded
 from .linalg import integer_matrix_rank
@@ -114,25 +115,49 @@ class HiggsChainComplex:
                 terms[len(el.wedge)].append(el)
         return tuple(map(tuple, terms))
 
-    def verify_chain_property(self) -> None:
-        """Raise unless d_{l+1} o d_l = 0 on every block, read entry by entry."""
-        for (s, sizes), d in zip(self.blocks, self.differentials):
+    def verify_chain_property(self, plans: dict | None = None) -> None:
+        """Raise unless d_{l+1} o d_l = 0 on every block, read entry by entry.
+
+        ``plans``, the caller's store or a new one, holds each distinct key
+        sequence's composition paths as entry positions grouped in dicts, so
+        no index range is trusted, and never coefficients; each block is
+        judged by its own ``list(d.values())``."""
+        plans = {} if plans is None else plans
+        for (s, _), d in zip(self.blocks, self.differentials):
             if len(d) < 2:  # no two entries compose
                 continue
-            out = [{} for _ in sizes]  # degree -> source -> [(target, coeff)]
-            for (l, tgt, src), coeff in d.items():
-                out[l].setdefault(src, []).append((tgt, coeff))
-            for l, high in enumerate(out[1:]):
-                for src, mids in out[l].items() if high else ():
-                    composite = {}  # target in degree l + 2 -> coefficient
-                    for mid, c_low in mids:
-                        for tgt, c_high in high.get(mid, ()):
-                            composite[tgt] = composite.get(tgt, 0) + c_high * c_low
-                    if any(composite.values()):
-                        raise AssertionError(
-                            f"d o d != 0 in block s={s} for P={self.P}: "
-                            f"degree {l}, source {src}, composite {composite}"
-                        )
+            if (plan := plans.get(keys := tuple(d))) is None:
+                out = {}  # (degree, source) -> [(target, position)], in key order
+                for i, (l, tgt, src) in enumerate(keys):
+                    out.setdefault((l, src), []).append((tgt, i))
+                order, pairs, ends = [], [], []  # ends: the last pair of each target
+                # degree by degree, sources in key order, as failures are named
+                for (l, src), mids in sorted(out.items(), key=lambda item: item[0][0]):
+                    paths = {}  # target in degree l + 2 -> [(i, j)]
+                    for mid, i in mids:
+                        for tgt, j in out.get((l + 1, mid), ()):
+                            paths.setdefault(tgt, []).append((i, j))
+                    for ij in paths.values():
+                        pairs += ij
+                        ends.append(len(pairs) - 1)
+                    order += [(l, src, tuple(paths))] if paths else []
+                lows, highs = zip(*pairs) if pairs else ((), ())
+                plan = plans[keys] = lows, highs, tuple(ends), tuple(order)
+            lows, highs, ends, order = plan
+            get = list(d.values()).__getitem__
+            running = list(accumulate(map(mul, map(get, lows), map(get, highs))))
+            # the running sum is 0 at each target's last path iff every composite is 0
+            if not any(map(running.__getitem__, ends)):
+                continue
+            at_ends = list(map(running.__getitem__, ends))
+            sums = map(sub, at_ends, [0, *at_ends])  # each target's composite, in order
+            for l, src, targets in order:  # zip draws one sum per target, no more
+                composite = dict(zip(targets, sums))
+                if any(composite.values()):
+                    raise AssertionError(
+                        f"d o d != 0 in block s={s} for P={self.P}: "
+                        f"degree {l}, source {src}, composite {composite}"
+                    )
 
     def verify_monomial_grading(self) -> None:
         """Assert every differential entry lies inside its block, so that it
@@ -274,12 +299,12 @@ def homology(cx: HiggsChainComplex) -> SheafMatrix:
 def full_homology(spec: LocalSystemSpec) -> SheafMatrix:
     """Homology of every Hodge-index slice, each within ``ORACLE_CAP`` and
     checked for d o d = 0 first, merged into one sheaf matrix; the slices
-    share a Koszul store made for this call.  Entries are per block, so
-    grading needs no pass; ``verify`` checks their index ranges."""
+    share a Koszul store and a plan store made for this call.  Entries are per
+    block, so grading needs no pass; ``verify`` checks their index ranges."""
     cells: dict[tuple[int, int], Counter] = {}
-    koszul = {}
+    koszul, plans = {}, {}
     for P in range(spec.weight + spec.n + 1):
         cx = build_log_higgs_complex(spec, P, koszul)
-        cx.verify_chain_property()
+        cx.verify_chain_property(plans)
         cells.update(homology(cx).cells)
     return SheafMatrix(cells)

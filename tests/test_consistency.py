@@ -181,8 +181,8 @@ class TestOracleEquivalenceCheck:
     def test_an_entry_of_an_out_of_range_degree_is_a_recorded_failure(
         self, monkeypatch
     ):
-        # d_{n+1} does not exist; the chain check, which indexes by degree,
-        # would raise IndexError on it, so the grading check must run first
+        # d_{n+1} does not exist; homology, which reads the block's sizes by
+        # degree, would raise IndexError on it, so the grading check must run first
         clean = check_oracle_equivalence(SweepBounds(max_n=2, max_m=1)).results
         build = consistency.build_log_higgs_complex
 

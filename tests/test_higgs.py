@@ -24,7 +24,7 @@ from hilbert_hodge import SweepBounds, consistency, higgs
 from hilbert_hodge.higgs import HiggsBasisElement, slice_size
 from hilbert_hodge.linalg import integer_matrix_rank
 
-from higgs_reference import uncleared_homology
+from higgs_reference import chain_failure, uncleared_homology
 
 
 def mono(*exps):
@@ -435,25 +435,37 @@ class TestBlockwork:
             assert isinstance(key, tuple) or all(isinstance(v, tuple) for v in value)
 
     def test_one_store_per_sweep_and_per_full_homology_call(self, monkeypatch):
-        build, stores = build_log_higgs_complex, []
+        # the Koszul store as the builder sees it, the plan store as the chain
+        # check sees it
+        build, check = build_log_higgs_complex, HiggsChainComplex.verify_chain_property
+        seen = {"koszul": [], "plans": []}
 
         def recorded(spec, P, koszul=None):
-            stores.append(koszul)
+            seen["koszul"].append(koszul)
             return build(spec, P, koszul)
+
+        def checked(cx, plans=None):
+            seen["plans"].append(plans)
+            return check(cx, plans)
 
         monkeypatch.setattr(consistency, "build_log_higgs_complex", recorded)
         monkeypatch.setattr(higgs, "build_log_higgs_complex", recorded)
+        monkeypatch.setattr(HiggsChainComplex, "verify_chain_property", checked)
         assert consistency.check_oracle_equivalence(SweepBounds(3, 1)).ok
-        # 5 slices at n = 1, 16 at n = 2 and 44 at n = 3, all on one store
-        assert len(stores) == 65 and all(st is stores[0] for st in stores)
-        assert isinstance(stores[0], dict) and stores[0]
-        spec, first = validate_spec(2, (1, 1)), stores[0]
+        for stores in seen.values():
+            # 5 slices at n = 1, 16 at n = 2 and 44 at n = 3, all on one store
+            assert len(stores) == 65 and all(st is stores[0] for st in stores)
+            assert isinstance(stores[0], dict) and stores[0]
+        spec, first = validate_spec(2, (1, 1)), {n: st[0] for n, st in seen.items()}
         for _ in range(2):
-            stores.clear()
+            for stores in seen.values():
+                stores.clear()
             full_homology(spec)
-            assert len(stores) == 5 and all(st is stores[0] for st in stores)
-            assert isinstance(stores[0], dict) and stores[0] is not first
-            first = stores[0]
+            for name, stores in seen.items():
+                assert len(stores) == 5 and all(st is stores[0] for st in stores)
+                assert isinstance(stores[0], dict) and stores[0]
+                assert stores[0] is not first[name]
+                first[name] = stores[0]
 
 
 class TestClearing:
@@ -477,9 +489,9 @@ class TestClearing:
         events = []  # (what, complex), in call order
         check, ranked = HiggsChainComplex.verify_chain_property, higgs.homology
 
-        def checked(cx):
+        def checked(cx, *plans):
             events.append(("check", cx))
-            return check(cx)
+            return check(cx, *plans)
 
         def recorded(cx):
             events.append(("homology", cx))
@@ -579,6 +591,167 @@ class TestChainCheckReadsTheEntries:
             r"composite \{0: 12\}$",
         ):
             hand_built(3, (0, 1, 2, 1), d).verify_chain_property()
+
+
+def chain_verdict(cx, plans=None):
+    """The message ``verify_chain_property`` raises on ``cx``, or ``None``."""
+    try:
+        cx.verify_chain_property(plans)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def first_blocks(spec):
+    """Free-factor count -> the one-block complex of its first block in
+    ``spec``, over every slice."""
+    first = {}
+    for P in range(spec.weight + spec.n + 1):
+        cx = build_log_higgs_complex(spec, P)
+        for block, d in zip(cx.blocks, cx.differentials):
+            k = sum(-1 < si < mi for si, mi in zip(block[0], spec.m))
+            first.setdefault(k, replace(cx, blocks=(block,), differentials=(d,)))
+    return first
+
+
+class TestChainPlans:
+    """The chain check derives each key sequence's composition paths once,
+    judges each block by its own coefficients, and gives the verdict and the
+    message of the per-source reference (``higgs_reference.chain_failure``)."""
+
+    def test_the_reference_verdict_on_the_sweep(self):
+        # every slice as built, then with the first entry of its last block of
+        # two entries or more negated, all on one plan store as in a sweep
+        koszul, plans, failures = {}, {}, 0
+        for spec in sweep_specs(4, 3):
+            for P in range(spec.weight + spec.n + 1):
+                cx = build_log_higgs_complex(spec, P, koszul)
+                assert chain_verdict(cx, plans) is None is chain_failure(cx)
+                if composing := [d for d in cx.differentials if len(d) > 1]:
+                    d = composing[-1]
+                    d[next(iter(d))] *= -1
+                    want = chain_failure(cx)
+                    assert want is not None and chain_verdict(cx, plans) == want
+                    failures += 1
+        assert failures == 2_052
+
+    def test_the_reference_message_on_every_single_entry_change(self):
+        # each negation, removal and addition of one entry in the first block
+        # of every free-factor count 0..7; the negations share the block's plan
+        first = first_blocks(validate_spec(7, (1,) * 7))
+        assert sorted(first) == list(range(8))
+        failures = 0
+        for cx in first.values():
+            (_, sizes), d = cx.blocks[0], cx.differentials[0]
+            plans = {}
+            changed = [({**d, key: -c}, plans) for key, c in d.items()]
+            changed += [({k: c for k, c in d.items() if k != key}, None) for key in d]
+            changed += [
+                ({**d, key: 1}, None)
+                for l in range(7)
+                for key in product([l], range(sizes[l + 1]), range(sizes[l]))
+                if key not in d
+            ]
+            for entries, store in changed:
+                one = replace(cx, differentials=(entries,))
+                want = chain_failure(one)
+                assert chain_verdict(one, store) == want, entries
+                failures += want is not None
+            assert list(plans) == ([tuple(d)] if len(d) > 1 else [])
+        # every changed entry of a block of two free factors or more lies on a
+        # path; only the negation and the removal of the one-factor block pass
+        assert failures == 4_848
+
+    def test_the_reference_message_on_hand_built_blocks(self):
+        # paths that cancel past a dead end, a pair with one path, and a
+        # corrupted top degree, each as built and with one entry negated
+        blocks = [
+            (2, (1, 3, 1), {(0, 0, 0): 2, (0, 1, 0): 3, (0, 2, 0): 5,
+                            (1, 0, 0): 3, (1, 0, 1): -2}),
+            (2, (1, 1, 1), {(0, 0, 0): 2, (1, 0, 0): 3}),
+            (3, (0, 1, 2, 1), {(1, 0, 0): 2, (1, 1, 0): 3, (2, 0, 0): 3, (2, 0, 1): 2}),
+        ]
+        plans, verdicts = {}, []
+        for n, sizes, d in blocks:
+            for key in [None, *d]:
+                entries = {k: -c if k == key else c for k, c in d.items()}
+                cx = hand_built(n, sizes, entries)
+                verdicts.append(chain_failure(cx))
+                assert chain_verdict(cx, plans) == verdicts[-1]
+        # the dead end (0, 2, 0) lies on no path; in the top degree, negating
+        # any entry of d_1 = (2, 3) or d_2 = (3, 2) makes 2*3 + 3*2 cancel
+        assert [v is not None for v in verdicts] == [
+            0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0
+        ]
+        assert verdicts[6] == (
+            "d o d != 0 in block s=(0, 0) for P=2: degree 0, source 0, composite {0: 6}"
+        )
+
+    def test_blocks_of_one_key_sequence_share_a_plan_and_keep_their_coefficients(self):
+        spec = validate_spec(5, (3,) * 5)
+        cx, plans = build_log_higgs_complex(spec, 10), {}
+        cx.verify_chain_property(plans)
+        keys = [tuple(d) for d in cx.differentials]
+        composing = {k for k in keys if len(k) > 1}  # blocks of one entry compose none
+        assert len(plans) == len(composing) < sum(len(k) > 1 for k in keys)
+        shared = max(composing, key=keys.count)
+        early, later = [b for b, k in enumerate(keys) if k == shared][:2]
+        plan = plans[shared]
+        for b in (later, early):  # negate one entry of one block only
+            d, key = cx.differentials[b], shared[0]
+            d[key] *= -1
+            s = re.escape(str(cx.blocks[b][0]))
+            with pytest.raises(AssertionError, match=rf"^d o d != 0 in block s={s} "):
+                cx.verify_chain_property(plans)
+            assert chain_verdict(cx, plans) == chain_failure(cx)
+            d[key] *= -1
+        assert len(plans) == len(composing) and plans[shared] is plan
+
+    def test_a_block_whose_keys_differ_gets_its_own_plan(self):
+        cx, plans = build_log_higgs_complex(validate_spec(5, (3,) * 5), 10), {}
+        cx.verify_chain_property(plans)
+        before = dict(plans)
+        b = max(range(len(cx.blocks)), key=lambda b: len(cx.differentials[b]))
+        block, d = cx.blocks[b], cx.differentials[b]
+        (l, tgt, src), *_ = d
+        moved = (l, block[1][l + 1], src)  # a target past the block's last
+        variants = [
+            {moved if k == (l, tgt, src) else k: c for k, c in d.items()},  # one key
+            dict(reversed(d.items())),  # the same keys in another order
+        ]
+        verdicts = []
+        for entries in variants:
+            one = replace(cx, blocks=(block,), differentials=(entries,))
+            verdicts.append(chain_failure(one))
+            assert chain_verdict(one, plans) == verdicts[-1]
+            assert tuple(entries) in plans and len(plans) == len(before) + 1
+            before[tuple(entries)] = plans[tuple(entries)]
+        assert verdicts[0] is not None and verdicts[1] is None
+        assert plans == before
+
+    def test_no_plan_holds_a_coefficient(self):
+        # a plan made on one block's coefficients judges another of the same
+        # shape on its own, and plans made on other coefficients are equal
+        spec = validate_spec(5, (3,) * 5)
+        cx, plans = build_log_higgs_complex(spec, 10), {}
+        cx.verify_chain_property(plans)
+        keys = [tuple(d) for d in cx.differentials]
+        shared = max({k for k in keys if len(k) > 1}, key=keys.count)
+        early, later, *_ = [b for b, k in enumerate(keys) if k == shared]
+        for key in cx.differentials[early]:
+            cx.differentials[early][key] *= 7 if key[0] % 2 else -5
+        one = replace(
+            cx, blocks=(cx.blocks[later],), differentials=(cx.differentials[later],)
+        )
+        one.verify_chain_property(plans)
+        assert chain_failure(one) is None
+        fresh = {}
+        cx.verify_chain_property(fresh)  # d o d = 0 still: each d_l scaled
+        assert fresh == plans
+        for key in cx.differentials[early]:
+            cx.differentials[early][key] = 1
+        assert chain_verdict(cx, plans) == chain_failure(cx) is not None
+        one.verify_chain_property(plans)
 
 
 class TestBlockPass:

@@ -42,7 +42,7 @@ def run_optimized(code: str) -> subprocess.CompletedProcess:
 def test_full_homology_checks_the_chain_property():
     done = run_optimized(
         "from hilbert_hodge import higgs, validate_spec\n"
-        "def broken(self):\n"
+        "def broken(self, plans=None):\n"
         "    raise AssertionError('forced chain failure')\n"
         "higgs.HiggsChainComplex.verify_chain_property = broken\n"
         "higgs.full_homology(validate_spec(2, (1, 1)))\n"
