@@ -81,8 +81,9 @@ class CheckReport:
 
 SWEEP_GENERA = (0, 1, 2, 3)  # the genus and cusp grids of every table sweep
 SWEEP_CUSPS = (1, 2, 5)
-RESULT_BUDGET = 10**5  # results per sweep: admits --max-n 1 --max-m 443 (7 s)
-BLOCK_BUDGET = 2 * 10**5  # oracle blocks per sweep: admits --max-n 16 --max-m 0 (6 s)
+# the largest sweeps each budget admits, timed as one CLI run on a 2-core host
+RESULT_BUDGET = 10**5  # results per sweep: admits --max-n 1 --max-m 443 (1.3 s)
+BLOCK_BUDGET = 2 * 10**5  # oracle blocks per sweep: admits --max-n 16 --max-m 0 (2.5 s)
 
 
 def sweep_invariants(n: int):
@@ -166,10 +167,12 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
     is checked alongside, one aggregated result per (n, m), so an entry
     outside its block is a recorded failure.  ``SweepBounds`` has refused
     any sweep over the oracle cap, so every slice is built; all slices share
-    one Koszul store and one plan store, made for this sweep.
+    one Koszul store, one plan store and one rank store, made for this sweep,
+    so a block equal in sizes and entries to one of any earlier slice of any
+    system is ranked once.
     """
     report = CheckReport()
-    koszul, plans = {}, {}
+    koszul, plans, ranks = {}, {}, {}
     for n in range(1, bounds.max_n + 1):
         for m in _iter_weights(n, bounds.max_m):
             spec = validate_spec(n, m)
@@ -186,7 +189,7 @@ def check_oracle_equivalence(bounds: SweepBounds) -> CheckReport:
                     report.fail("chain_property", params, str(exc))
                     continue
                 try:
-                    got = homology(cx)
+                    got = homology(cx, ranks)
                 except AssertionError as exc:
                     report.fail("oracle_equivalence", params, str(exc))
                     continue

@@ -35,11 +35,15 @@ caller makes; each block is judged by its own coefficients, and the first
 source with a non-zero composite is raised with its block, ``P`` and degree.
 Ranks are taken per block by exact gcd-normalised elimination, only of the
 differentials that have entries (any other is zero, of rank 0), by
-increasing degree, each without the pivot sources of the one below.
+increasing degree, each without the pivot sources of the one below.  A
+rank store, of the same scope as the other two, keys each block's non-zero
+``dim H^l`` by the block's own sizes and entries, never by the template, so
+a block equal to one ranked before in the call or sweep is only named.
 Homology comes back as a ``SheafMatrix``, the type of the closed form, but
 nothing here knows the closed-form answer: this is the independent side of
 the cross-validation.  A slice over the fixed size cap ``ORACLE_CAP`` is
-refused from its closed-form size, before anything is built.
+refused from its closed-form size, before anything is built; that size is
+computed only when the system's ``rank * 2^n`` elements pass the cap.
 """
 
 from __future__ import annotations
@@ -212,11 +216,12 @@ def build_log_higgs_complex(
         raise BadHodgeIndex(
             f"Hodge index P must lie in [0, {spec.weight + spec.n}], got {P}"
         )
-    size = slice_size(spec, P)
-    if size > ORACLE_CAP:
-        raise OracleSizeExceeded(
-            f"complex has {size} basis elements, cap is {ORACLE_CAP}"
-        )
+    # the system's rank * 2^n elements bound each slice: size it only past that
+    if spec.rank * 2**spec.n > ORACLE_CAP:
+        if (size := slice_size(spec, P)) > ORACLE_CAP:
+            raise OracleSizeExceeded(
+                f"complex has {size} basis elements, cap is {ORACLE_CAP}"
+            )
     n, m = spec.n, spec.m
     koszul = {} if koszul is None else koszul
     # the blocks, -1 <= s_i <= m_i with sum(s) = |m| - P, extended factor by
@@ -260,38 +265,57 @@ def build_log_higgs_complex(
     return HiggsChainComplex(spec, P, tuple(blocks), tuple(differentials))
 
 
-def homology(cx: HiggsChainComplex) -> SheafMatrix:
+def _block_homology(P: int, s, sizes, d) -> tuple:
+    """The non-zero ``(l, dim H^l)`` of block ``s`` of slice ``P``, ranked as
+    ``homology`` describes."""
+    rows = {}  # degree l -> d_l, a dense row per source, if it has entries
+    for (l, tgt, src), coeff in d.items():
+        if l not in rows:
+            rows[l] = [[0] * sizes[l + 1] for _ in range(sizes[l])]
+        rows[l][src][tgt] = coeff
+    ranks, cleared = [0] * (len(sizes) + 1), None  # rank of d_l at l + 1
+    for l in sorted(rows):
+        for src in reversed(cleared or ()):  # the pivot sources of d_{l-1}
+            del rows[l][src]
+        cleared = [] if l + 1 in rows else None  # only if d_{l+1} is ranked
+        ranks[l + 1] = integer_matrix_rank(rows[l], cleared)
+    dims = []
+    for l, size in enumerate(sizes):
+        if (dim := size - ranks[l + 1] - ranks[l]) < 0:
+            raise AssertionError(
+                f"negative dimension in block s={s} for P={P}: degree {l}, "
+                f"rank d_{{{l}}} = {ranks[l + 1]}, rank d_{{{l - 1}}} = {ranks[l]}"
+            )
+        if dim:
+            dims.append((l, dim))
+    return tuple(dims)
+
+
+def homology(cx: HiggsChainComplex, ranks: dict | None = None) -> SheafMatrix:
     """Homology of one complex, computed blockwise by exact integer rank:
     ``dim H^l = dim(term_l) - rank(d_l) - rank(d_{l-1})`` per block.  Each
     ``d_l`` with entries is a dense row per source, ranked in increasing
     ``l`` without the pivot sources of ``d_{l-1}``.  Precondition: the chain
     check has passed, as both callers ensure.  Then each echelon row of
     ``d_{l-1}`` is in ``im d_{l-1} <= ker d_l``, so a pivot source's image
-    combines those of later sources: ``rank d_l`` is unchanged.  Each block
-    with homology is named by its first element's monomial."""
-    n, m = cx.spec.n, cx.spec.m
+    combines those of later sources: ``rank d_l`` is unchanged.
+
+    ``ranks``, the caller's rank store or a new one, is keyed by a block's
+    own entries, never by the template they came from: ``tuple(d)`` ->
+    ``(sizes, tuple(d.values()))`` -> the block's non-zero ``(l, dim H^l)``.
+    A block equal to one ranked before is named, not ranked; a block that
+    raises stores nothing.  Each block with homology is named by its first
+    element's monomial."""
+    m, ranks = cx.spec.m, {} if ranks is None else ranks
     cells = defaultdict(Counter)
     for (s, sizes), d in zip(cx.blocks, cx.differentials):
-        rows = {}  # degree l -> d_l, a dense row per source, if it has entries
-        for (l, tgt, src), coeff in d.items():
-            if l not in rows:
-                rows[l] = [[0] * sizes[l + 1] for _ in range(sizes[l])]
-            rows[l][src][tgt] = coeff
-        ranks, cleared = [0] * (n + 2), None  # rank of d_l at l + 1
-        for l in sorted(rows):
-            for src in reversed(cleared or ()):  # the pivot sources of d_{l-1}
-                del rows[l][src]
-            cleared = [] if l + 1 in rows else None  # only if d_{l+1} is ranked
-            ranks[l + 1] = integer_matrix_rank(rows[l], cleared)
-        mono = None
-        for l in range(n + 1):
-            if (dim := sizes[l] - ranks[l + 1] - ranks[l]) < 0:
-                raise AssertionError(
-                    f"negative dimension in block s={s} for P={cx.P}: degree {l}, "
-                    f"rank d_{{{l}}} = {ranks[l + 1]}, rank d_{{{l - 1}}} = {ranks[l]}"
-                )
-            if dim:
-                mono = mono or _element(s, [st[0] for st in _states(s, m)]).monomial(m)
+        known, key = ranks.get(keys := tuple(d)), (sizes, tuple(d.values()))
+        if known is None or (dims := known.get(key)) is None:
+            dims = _block_homology(cx.P, s, sizes, d)
+            ranks.setdefault(keys, {})[key] = dims
+        if dims:
+            mono = _element(s, [st[0] for st in _states(s, m)]).monomial(m)
+            for l, dim in dims:
                 cells[cx.P, l][mono] = dim
     return SheafMatrix(dict(cells))
 
@@ -299,12 +323,14 @@ def homology(cx: HiggsChainComplex) -> SheafMatrix:
 def full_homology(spec: LocalSystemSpec) -> SheafMatrix:
     """Homology of every Hodge-index slice, each within ``ORACLE_CAP`` and
     checked for d o d = 0 first, merged into one sheaf matrix; the slices
-    share a Koszul store and a plan store made for this call.  Entries are per
-    block, so grading needs no pass; ``verify`` checks their index ranges."""
+    share a Koszul store, a plan store and a rank store made for this call, so
+    a block equal in sizes and entries to one of any earlier slice is ranked
+    once.  Entries are per block, so grading needs no pass; ``verify`` checks
+    their index ranges."""
     cells: dict[tuple[int, int], Counter] = {}
-    koszul, plans = {}, {}
+    koszul, plans, ranks = {}, {}, {}
     for P in range(spec.weight + spec.n + 1):
         cx = build_log_higgs_complex(spec, P, koszul)
         cx.verify_chain_property(plans)
-        cells.update(homology(cx).cells)
+        cells.update(homology(cx, ranks).cells)
     return SheafMatrix(cells)

@@ -160,7 +160,7 @@ class TestOracleEquivalenceCheck:
         assert failed == 0 and passed > 0
 
     def test_homology_error_is_an_oracle_failure(self, monkeypatch):
-        def broken(cx):
+        def broken(cx, ranks=None):
             raise AssertionError("rank bookkeeping produced a negative dimension")
 
         monkeypatch.setattr(consistency, "homology", broken)

@@ -2,6 +2,7 @@
 then the structural sweeps (chain property, grading, Euler bookkeeping)."""
 
 import ast
+import random
 import re
 import time
 from dataclasses import replace
@@ -118,6 +119,24 @@ class TestStructuralSweep:
         want = cohomology_sheaf_closed_form(spec).sorted_cells()
         assert full_homology(spec).sorted_cells() == want
 
+    def test_oracle_equals_closed_form_off_the_grid(self):
+        # systems the sweep grid (n <= 4, m_i <= 3) never builds, from a seed
+        # printed for a rerun: n from 2 to 7, m_i from 0 to 6, at least one
+        # m_i > 3 or n > 4, and at most 5 * 10^4 basis elements each
+        seed = 2010
+        print(f"off-grid systems drawn with random.Random({seed})")
+        rng, specs = random.Random(seed), []
+        while len(specs) < 40:
+            n = rng.randint(2, 7)
+            spec = validate_spec(n, tuple(rng.randint(0, 6) for _ in range(n)))
+            if (max(spec.m) > 3 or n > 4) and spec.rank * 2**n <= 5 * 10**4:
+                specs.append(spec)
+        start = time.perf_counter()
+        for spec in specs:
+            want = cohomology_sheaf_closed_form(spec).sorted_cells()
+            assert full_homology(spec).sorted_cells() == want, (seed, spec.m)
+        assert time.perf_counter() - start < 1
+
     def test_chain_property_and_grading(self):
         for spec in sweep_specs(3, 2):
             for P in range(spec.weight + spec.n + 1):
@@ -167,6 +186,32 @@ class TestOracleCap:
             for P in range(spec.weight + spec.n + 1):
                 cx = build_log_higgs_complex(spec, P)
                 assert slice_size(spec, P) == cx.total_size, (spec.m, P)
+
+    def test_a_system_under_the_cap_is_not_sized_slice_by_slice(self, monkeypatch):
+        sized = []
+
+        def spied(spec, P):
+            sized.append(P)
+            return slice_size(spec, P)
+
+        # the slices of a system hold its rank * 2^n elements: 1,200 * 2^5
+        spec = validate_spec(5, (4, 3, 2, 4, 3))
+        slices = range(spec.weight + spec.n + 1)
+        assert sum(slice_size(spec, P) for P in slices) == spec.rank * 2**5 == 38_400
+        monkeypatch.setattr(higgs, "slice_size", spied)
+        for P in slices:
+            build_log_higgs_complex(spec, P)
+        assert sized == []
+        # under a cap the system passes, each slice is sized before it is built
+        monkeypatch.setattr(higgs, "ORACLE_CAP", 38_399)
+        assert build_log_higgs_complex(spec, 9).total_size == slice_size(spec, 9)
+        assert sized == [9]
+        size = slice_size(spec, 9)
+        monkeypatch.setattr(higgs, "ORACLE_CAP", size - 1)
+        message = f"^complex has {size} basis elements, cap is {size - 1}$"
+        with pytest.raises(OracleSizeExceeded, match=message):
+            build_log_higgs_complex(spec, 9)
+        assert sized == [9, 9]
 
     def test_refused_before_any_basis_element_exists(self, monkeypatch):
         def unbuildable(*args, **kwargs):
@@ -374,6 +419,7 @@ class TestBlockwork:
     """The oracle ranks what it must, once, and blocks share no state."""
 
     def test_one_rank_per_block_degree_with_two_nonzero_sizes(self, monkeypatch):
+        # per distinct block of each call: its sizes and its entries
         calls = []
 
         def counted(rows, pivots=None):
@@ -381,18 +427,27 @@ class TestBlockwork:
             return integer_matrix_rank(rows, pivots)
 
         want = 0
-        for spec in ORACLE_LARGE:
-            for P in range(spec.weight + spec.n + 1):
-                for _, sizes in build_log_higgs_complex(spec, P).blocks:
-                    want += sum(1 for l in range(spec.n) if sizes[l] and sizes[l + 1])
+        for spec in ORACLE_LARGE:  # one rank store per full_homology call
+            distinct = {
+                (sizes, tuple(d.items()))
+                for P in range(spec.weight + spec.n + 1)
+                for cx in [build_log_higgs_complex(spec, P)]
+                for (_, sizes), d in zip(cx.blocks, cx.differentials)
+            }
+            want += sum(
+                1 for sizes, _ in distinct
+                for l in range(spec.n) if sizes[l] and sizes[l + 1]
+            )
         monkeypatch.setattr(higgs, "integer_matrix_rank", counted)
         for spec in ORACLE_LARGE:
             assert full_homology(spec).sorted_cells() == (
                 cohomology_sheaf_closed_form(spec).sorted_cells()
             )
-        assert len(calls) == want == 25_398
-        # rows ranked after clearing; uncleared, d_l has one per source: 78,640
-        assert sum(calls) == 43_680
+        # 25,398 calls with one rank per block, distinct or not
+        assert len(calls) == want == 10_671
+        # rows ranked after clearing: 43,680 for every block; uncleared, d_l
+        # has one per source: 78,640 for every block
+        assert sum(calls) == 22_530
 
     def test_blocks_of_one_shape_share_no_entry_values(self):
         # every block with the same (k, z) gets its keys from one list; its
@@ -436,9 +491,10 @@ class TestBlockwork:
 
     def test_one_store_per_sweep_and_per_full_homology_call(self, monkeypatch):
         # the Koszul store as the builder sees it, the plan store as the chain
-        # check sees it
+        # check sees it, the rank store as homology sees it
         build, check = build_log_higgs_complex, HiggsChainComplex.verify_chain_property
-        seen = {"koszul": [], "plans": []}
+        ranked = homology
+        seen = {"koszul": [], "plans": [], "ranks": []}
 
         def recorded(spec, P, koszul=None):
             seen["koszul"].append(koszul)
@@ -448,9 +504,15 @@ class TestBlockwork:
             seen["plans"].append(plans)
             return check(cx, plans)
 
+        def counted(cx, ranks=None):
+            seen["ranks"].append(ranks)
+            return ranked(cx, ranks)
+
         monkeypatch.setattr(consistency, "build_log_higgs_complex", recorded)
         monkeypatch.setattr(higgs, "build_log_higgs_complex", recorded)
         monkeypatch.setattr(HiggsChainComplex, "verify_chain_property", checked)
+        monkeypatch.setattr(consistency, "homology", counted)
+        monkeypatch.setattr(higgs, "homology", counted)
         assert consistency.check_oracle_equivalence(SweepBounds(3, 1)).ok
         for stores in seen.values():
             # 5 slices at n = 1, 16 at n = 2 and 44 at n = 3, all on one store
@@ -468,22 +530,79 @@ class TestBlockwork:
                 first[name] = stores[0]
 
 
+def block_of(cx, s):
+    """The differential of block ``s`` of ``cx``."""
+    return cx.differentials[[t for t, _ in cx.blocks].index(s)]
+
+
+class TestRankStore:
+    """A block is named from the rank store only if its own sizes and entries,
+    as they are when ranked, equal those of a block ranked before."""
+
+    # block s = (0, 1, -1) of m = (1, 1, 2) at P = 4 has one free factor, and
+    # the sizes and entries of block s = (0, -1, 2) at P = 3
+    SPEC, P, S, TWIN = validate_spec(3, (1, 1, 2)), 4, (0, 1, -1), (0, -1, 2)
+
+    def zeroed(self, monkeypatch):
+        """Make every build zero the entries of the one free factor of block
+        ``S`` at ``P``; d o d stays 0, and the block gets homology."""
+        build = build_log_higgs_complex
+
+        def built(spec, P, koszul=None):
+            cx = build(spec, P, koszul)
+            if (spec.m, P) == (self.SPEC.m, self.P):
+                d = block_of(cx, self.S)
+                for key in d:
+                    d[key] = 0
+            return cx
+
+        earlier, later = build(self.SPEC, self.P - 1), build(self.SPEC, self.P)
+        sizes = {s: sizes for cx in (earlier, later) for s, sizes in cx.blocks}
+        assert sizes[self.TWIN] == sizes[self.S] == (0, 1, 1, 0)
+        assert block_of(earlier, self.TWIN) == block_of(later, self.S) == {(1, 0, 0): 1}
+        for module in (higgs, consistency):
+            monkeypatch.setattr(module, "build_log_higgs_complex", built)
+
+    def test_a_zeroed_block_is_ranked_in_full_homology(self, monkeypatch):
+        self.zeroed(monkeypatch)
+        have = dict(full_homology(self.SPEC).sorted_cells())
+        want = dict(cohomology_sheaf_closed_form(self.SPEC).sorted_cells())
+        # the zeroed block's one element in each of degrees 1 and 2 survives
+        extra = mono(1, -1, 4)
+        assert {cell for cell in have | want if have.get(cell) != want.get(cell)} == {
+            (4, 1), (4, 2)
+        }
+        for cell in ((4, 1), (4, 2)):
+            assert sorted(have[cell]) == sorted(want.get(cell, []) + [extra])
+
+    def test_a_zeroed_block_is_ranked_in_the_sweep(self, monkeypatch):
+        self.zeroed(monkeypatch)
+        report = consistency.check_oracle_equivalence(SweepBounds(3, 2))
+        failed = [(r.name, r.params) for r in report.results if not r.ok]
+        assert failed == [("oracle_equivalence", "n=3 m=(1, 1, 2) P=4")]
+
+
 class TestClearing:
     """Clearing the pivot sources of ``d_{l-1}`` before ranking ``d_l`` keeps
     every block's homology, and is only reached past the chain check."""
 
     def test_blocks_match_uncleared_ranks_on_the_sweep(self):
-        koszul = {}
+        koszul, ranks = {}, {}  # one rank store for the sweep, as in verify
         for spec in sweep_specs(4, 3):
             for P in range(spec.weight + spec.n + 1):
                 cx = build_log_higgs_complex(spec, P, koszul)
-                assert homology(cx).cells == uncleared_homology(cx), (spec.m, P)
+                shared = homology(cx, ranks).cells
+                assert shared == homology(cx).cells == uncleared_homology(cx), (
+                    spec.m, P
+                )
 
     @pytest.mark.parametrize("spec", ORACLE_LARGE, ids=lambda spec: str(spec.m))
     def test_blocks_match_uncleared_ranks_on_the_oracle_large_systems(self, spec):
+        ranks = {}  # one rank store for the slices, as in full_homology
         for P in range(spec.weight + spec.n + 1):
             cx = build_log_higgs_complex(spec, P)
-            assert homology(cx).cells == uncleared_homology(cx), P
+            shared = homology(cx, ranks).cells
+            assert shared == homology(cx).cells == uncleared_homology(cx), P
 
     def test_both_callers_check_the_chain_before_homology(self, monkeypatch):
         events = []  # (what, complex), in call order
@@ -493,9 +612,9 @@ class TestClearing:
             events.append(("check", cx))
             return check(cx, *plans)
 
-        def recorded(cx):
+        def recorded(cx, *ranks):
             events.append(("homology", cx))
-            return ranked(cx)
+            return ranked(cx, *ranks)
 
         monkeypatch.setattr(HiggsChainComplex, "verify_chain_property", checked)
         monkeypatch.setattr(higgs, "homology", recorded)
@@ -517,9 +636,9 @@ class TestClearing:
                 d[next(iter(d))] *= -1
             return cx
 
-        def recorded(cx):
+        def recorded(cx, *ranks):
             homologies.append((cx.spec.m, cx.P))
-            return homology(cx)
+            return homology(cx, *ranks)
 
         for module in (higgs, consistency):
             monkeypatch.setattr(module, "build_log_higgs_complex", negated)
@@ -549,6 +668,12 @@ class TestClearing:
             r"rank d_\{0\} = 2, rank d_\{-1\} = 0$",
         ):
             homology(cx)
+        # the block before, s = (-1, 1), has no entry and is stored; the block
+        # that raises stores nothing, so no later call is told its dimensions
+        ranks = {}
+        with pytest.raises(AssertionError, match=r"^negative dimension in block"):
+            homology(cx, ranks)
+        assert ranks == {(): {((0, 1, 0), ()): ((1, 1),)}}
 
 
 def hand_built(n, sizes, d):
