@@ -314,7 +314,7 @@ def homology(cx: HiggsChainComplex, ranks: dict | None = None) -> SheafMatrix:
             dims = _block_homology(cx.P, s, sizes, d)
             ranks.setdefault(keys, {})[key] = dims
         if dims:
-            mono = _element(s, [st[0] for st in _states(s, m)]).monomial(m)
+            mono = _element(s, [si == -1 for si in s]).monomial(m)  # its first element
             for l, dim in dims:
                 cells[cx.P, l][mono] = dim
     return SheafMatrix(dict(cells))

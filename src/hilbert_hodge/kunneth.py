@@ -14,7 +14,7 @@ landing at a given ``P``: the multiplicity pattern of the middle Hodge numbers.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 
 from .errors import BadDegree
@@ -44,10 +44,10 @@ def subset_monomials(m):
 
 def cohomology_sheaf_closed_form(spec: LocalSystemSpec) -> SheafMatrix:
     """The full sheaf matrix of ``m``: one monomial ``C_I`` per subset ``I``."""
-    cells: dict[tuple[int, int], Counter] = {}
+    cells: dict[tuple[int, int], Counter] = defaultdict(Counter)
     for P, l, mono in subset_monomials(spec.m):
-        cells.setdefault((P, l), Counter())[mono] += 1
-    return SheafMatrix(cells)
+        cells[P, l][mono] += 1
+    return SheafMatrix(dict(cells))
 
 
 def count_N(m, P: int) -> int:

@@ -198,6 +198,20 @@ class TestEisensteinVerb:
         )
         assert all(row["dim"] == 0 for row in doc["tables"]["Eis"])
 
+    def test_non_parallel_latex_rows_have_no_class(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "eisenstein", "--n", "2", "--m", "1,0",
+            "--cusps", "4", "--genus", "1", "--format", "latex",
+        )
+        assert (code, out) == (0, (
+            "\\begin{tabular}{rrll}\n"
+            "$k$ & $\\dim$ & $a$ & $(\\alpha,\\beta)$ \\\\\n"
+            "$2$ & $0$ & -- & -- \\\\\n"
+            "$3$ & $0$ & -- & -- \\\\\n"
+            "\\end{tabular}\n"
+        ))
+
     def test_oversized_output_refused_before_assembly(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("eisenstein_data called for an oversized output")
@@ -696,7 +710,12 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
-        assert "table" in capsys.readouterr().out
+        assert "{table,sheaf-matrix,eisenstein,verify}" in capsys.readouterr().out
+        for verb in ("table", "sheaf-matrix", "eisenstein", "verify"):
+            assert cli.main([verb, "--help"]) == 0, verb
+            out = capsys.readouterr().out
+            assert out.startswith(f"usage: hilbert-hodge {verb} [-h]"), verb
+            assert "--format" in out, verb
 
 
 def break_one_dictionary_entry(monkeypatch):

@@ -104,6 +104,10 @@ def sweep_specs(max_n, max_m):
 WIDE_SPECS = [
     validate_spec(len(m), m) for m in ((0, 2, 0, 1, 3), (1, 0, 1, 0, 1, 1), (1,) * 7)
 ]
+# the systems of the oracle-large benchmark workload; (1,) * 7 is in both lists
+ORACLE_LARGE = [
+    validate_spec(len(m), m) for m in ((4, 3, 2, 4, 3), (3, 3, 3, 3, 3), (1,) * 7)
+]
 
 
 class TestStructuralSweep:
@@ -114,7 +118,9 @@ class TestStructuralSweep:
             want = cohomology_sheaf_closed_form(spec)
             assert got.sorted_cells() == want.sorted_cells(), spec
 
-    @pytest.mark.parametrize("spec", WIDE_SPECS, ids=lambda spec: str(spec.m))
+    @pytest.mark.parametrize(
+        "spec", WIDE_SPECS + ORACLE_LARGE[:2], ids=lambda spec: str(spec.m)
+    )
     def test_oracle_equals_closed_form_past_the_sweep(self, spec):
         want = cohomology_sheaf_closed_form(spec).sorted_cells()
         assert full_homology(spec).sorted_cells() == want
@@ -410,11 +416,6 @@ class TestIndependence:
         )
 
 
-ORACLE_LARGE = [
-    validate_spec(len(m), m) for m in ((4, 3, 2, 4, 3), (3, 3, 3, 3, 3), (1,) * 7)
-]
-
-
 class TestBlockwork:
     """The oracle ranks what it must, once, and blocks share no state."""
 
@@ -578,8 +579,23 @@ class TestRankStore:
     def test_a_zeroed_block_is_ranked_in_the_sweep(self, monkeypatch):
         self.zeroed(monkeypatch)
         report = consistency.check_oracle_equivalence(SweepBounds(3, 2))
-        failed = [(r.name, r.params) for r in report.results if not r.ok]
-        assert failed == [("oracle_equivalence", "n=3 m=(1, 1, 2) P=4")]
+        failed = [r for r in report.results if not r.ok]
+        assert [(r.name, r.params) for r in failed] == [
+            ("oracle_equivalence", "n=3 m=(1, 1, 2) P=4")
+        ]
+        # each side is recorded as its own cells, the oracle's with the extra
+        have = full_homology(self.SPEC).cells
+        want = cohomology_sheaf_closed_form(self.SPEC).cells
+
+        def text(cells):
+            return repr([
+                f"({P},{l}) {mono}"
+                for P, l in sorted(cell for cell in cells if cell[0] == self.P)
+                for mono in sorted(cells[P, l].elements())
+            ])
+
+        assert (failed[0].lhs, failed[0].rhs) == (text(have), text(want))
+        assert failed[0].lhs != failed[0].rhs
 
 
 class TestClearing:
@@ -626,14 +642,15 @@ class TestClearing:
         for (first, cx), (then, same) in zip(events[::2], events[1::2]):
             assert (first, then) == ("check", "homology") and cx is same
 
-    def test_a_negated_entry_fails_the_chain_check_not_homology(self, monkeypatch):
+    def corrupted_block_fails_the_chain_check(self, monkeypatch, corrupt, swept):
+        """``corrupt`` changes the entries of block (0, 0) of m = (1, 1) at
+        P = 2, which has 2 free factors; ``swept`` starts the sweep's message."""
         build, homologies = build_log_higgs_complex, []
 
-        def negated(spec, P, koszul=None):
+        def corrupted(spec, P, koszul=None):
             cx = build(spec, P, koszul)
-            if spec.m == (1, 1) and P == 2:  # its block (0, 0) has 2 free factors
-                d = cx.differentials[[s for s, _ in cx.blocks].index((0, 0))]
-                d[next(iter(d))] *= -1
+            if spec.m == (1, 1) and P == 2:
+                corrupt(cx.differentials[[s for s, _ in cx.blocks].index((0, 0))])
             return cx
 
         def recorded(cx, *ranks):
@@ -641,20 +658,40 @@ class TestClearing:
             return homology(cx, *ranks)
 
         for module in (higgs, consistency):
-            monkeypatch.setattr(module, "build_log_higgs_complex", negated)
+            monkeypatch.setattr(module, "build_log_higgs_complex", corrupted)
             monkeypatch.setattr(module, "homology", recorded)
-        with pytest.raises(AssertionError, match=r"^d o d != 0 in block s=\(0, 0\)"):
+        with pytest.raises(
+            AssertionError, match=r"^d o d != 0 in block s=\(0, 0\) for P=2:"
+        ):
             full_homology(validate_spec(2, (1, 1)))
         assert homologies == [((1, 1), 0), ((1, 1), 1)]
         report = consistency.check_oracle_equivalence(SweepBounds(2, 1))
         failed = [r for r in report.results if not r.ok]
         assert [r.name for r in failed] == ["chain_property"]
-        assert "d o d != 0 in block s=(0, 0) for P=2" in failed[0].lhs
+        assert failed[0].lhs.startswith(swept)
         assert not any(
             r.params == failed[0].params
             for r in report.results if r.name == "oracle_equivalence"
         )
         assert ((1, 1), 2) not in homologies[2:]
+
+    def test_a_negated_entry_fails_the_chain_check_not_homology(self, monkeypatch):
+        def negate(d):
+            d[next(iter(d))] *= -1
+
+        self.corrupted_block_fails_the_chain_check(
+            monkeypatch, negate, "d o d != 0 in block s=(0, 0) for P=2"
+        )
+
+    def test_an_extra_entry_fails_the_chain_check_not_homology(self, monkeypatch):
+        def extend(d):  # d_1 from the first element of degree 1 to a second
+            d[1, 1, 0] = 1  # target: a key sequence no other block has
+
+        # full_homology checks no index range; the sweep's grading check, run
+        # before the chain check, finds the target outside the block
+        self.corrupted_block_fails_the_chain_check(
+            monkeypatch, extend, "differential entry (1, 1, 0) leaves block s=(0, 0)"
+        )
 
     def test_a_negative_dimension_names_its_block_degree_and_ranks(self, monkeypatch):
         def over_reported(rows, pivots=None):

@@ -162,6 +162,9 @@ class TestSubsetCounts:
         assert count_N((1, 1), -1) == 0
         with pytest.raises(BadDegree, match="supports n <= 64, got n = 65"):
             count_N((0,) * 65, 2)
+        message = r"^all weights must be >= 0, got m = \(1, -1\)$"
+        with pytest.raises(BadDegree, match=message):
+            count_N((1, -1), 2)
 
     def test_large_n_fast_path(self):
         from math import comb

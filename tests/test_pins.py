@@ -1,13 +1,17 @@
 """Byte-identity of the pinned commands: every line of ``golden/pins.txt``
-runs in process and must exit 0 with stdout of the pinned sha256.  CI
-checks the same file with each command run as a subprocess."""
+runs in process and must exit 0 with stdout of the pinned sha256, and each
+JSON table reads back as the table of its spec and invariants.  CI checks
+the same file with each command run as a subprocess under plain
+``python``; ``test_optimized`` shows that ``python -O`` changes nothing."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from hilbert_hodge import cli
+from hilbert_hodge.serialize import tables_from_document
 
 PINS = Path(__file__).parent / "golden" / "pins.txt"
 
@@ -33,3 +37,5 @@ def test_pinned_command_output(capsys, digest, name, argv):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, name
+    if argv[0] == "table" and argv[-2:] == ["--format", "json"]:
+        tables_from_document(json.loads(captured.out))

@@ -23,12 +23,10 @@ from hilbert_hodge import (
     serialize,
     validate_spec,
 )
-from hilbert_hodge.consistency import SweepBounds, run_verification
 from hilbert_hodge.serialize import (
     dump_json,
     table_document,
     tables_from_document,
-    verify_document,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -310,11 +308,21 @@ def test_table_document_shares_exponent_lists():
     assert json.loads(dump_json(doc)) == doc
 
 
-def test_dump_json_matches_the_stdlib_on_real_documents():
-    *_, doc = build_table_doc(n=3, m=(2, 0, 1), h=3, g=2)
-    report = run_verification(SweepBounds(max_n=2, max_m=1))
-    for d in (doc, verify_document(report, {"max_n": 2, "max_m": 1})):
-        assert dump_json(d) == json.dumps(d, sort_keys=True, indent=2) + "\n"
+def test_dump_json_matches_the_stdlib_on_real_documents(capsys):
+    # the JSON output of every verb; each table reads back as built
+    for argv in (
+        ["table", "--n", "3", "--m", "2,0,1", "--cusps", "3", "--genus", "2"],
+        ["table", "--n", "8", "--m", "1,1,1,1,1,1,1,1", "--cusps", "2", "--genus", "1"],
+        ["sheaf-matrix", "--n", "3", "--m", "2,0,1"],
+        ["eisenstein", "--n", "3", "--m", "2,2,2", "--cusps", "1", "--genus", "1"],
+        ["verify", "--max-n", "3", "--max-m", "2"],
+    ):
+        assert cli.main([*argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", argv
+        if argv[0] == "table":
+            tables_from_document(doc)
 
 
 @pytest.mark.parametrize(

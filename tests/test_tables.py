@@ -52,6 +52,13 @@ class TestGrFLabels:
         assert set(labels) == {0}
         assert labels[0] == (label(0, -1, -1),)
 
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_degree_outside_zero_to_2n_refused(self, k):
+        spec = validate_spec(2, (1, 1))
+        message = rf"^degree k must lie in \[0, 4\], got {k}$"
+        with pytest.raises(ValueError, match=message):
+            gr_F_labels(spec, k)
+
     def test_mixed_form_degrees_at_same_piece(self):
         spec = validate_spec(3, (1, 0, 0))
         labels = gr_F_labels(spec, 3)
